@@ -25,9 +25,11 @@ Sub-packages
 - ``repro.analysis`` -- experiment reporting helpers;
 - ``repro.perf`` -- wall-clock benchmarks and profiling hooks;
 - ``repro.runtime`` -- scenario registry, worker-pool experiment
-  engine, and content-addressed result caching (``docs/runtime.md``).
-
-See DESIGN.md for the full system inventory and per-experiment index.
+  engine, and content-addressed result caching (``docs/runtime.md``);
+- ``repro.obs`` -- run tracing, metrics, and the trace report
+  (``docs/observability.md``);
+- ``repro.lint`` -- the determinism and concurrency linter
+  (``docs/static-analysis.md``).
 """
 
 __version__ = "1.0.0"

@@ -1,4 +1,4 @@
-"""Fidelity presets scaling experiment cost (DESIGN.md Sec. 7).
+"""Fidelity presets scaling experiment cost.
 
 The paper's settings (10,000 samples per dataset, 40 training epochs)
 are hours of laptop compute across all experiments; ``FAST`` keeps every
@@ -6,8 +6,8 @@ pipeline identical but shrinks sample counts so the benchmark suite
 finishes in minutes.  EXPERIMENTS.md records which preset produced each
 reported number.
 
-Two regimes matter (see DESIGN.md Sec. 3.3 and the cross-environment
-notes in EXPERIMENTS.md):
+Two regimes matter (``examples/cross_environment.py`` exercises the
+second):
 
 - **single-environment** (``FAST``/``PAPER``): the paper's own protocol —
   train and test splits come from the same collection campaign, whose

@@ -66,7 +66,7 @@ from repro.runtime.hashing import (
 )
 from repro.runtime.payloads import PayloadRef, PayloadStore
 from repro.runtime.planner import PlannedTask, plan_scenario
-from repro.runtime.store import SegmentStore, migrate
+from repro.runtime.store import SegmentStore
 from repro.runtime.registry import (
     campaign_names,
     get_campaign,
@@ -135,7 +135,6 @@ __all__ = [
     "active_plan",
     "StoreHealth",
     "SegmentStore",
-    "migrate",
     "PayloadRef",
     "PayloadStore",
     "ResultCache",

@@ -24,12 +24,10 @@ CRC.  An entry that is truncated, mis-keyed, or fails either check is
 record costs one recompute, never a wrong number and never an aborted
 run.
 
-Legacy layout: roots written by older versions hold one
-``<key>.json`` file per entry.  ``get`` transparently absorbs such a
-file into the packed store on first touch (validating it exactly as the
-legacy reader did, quarantining corrupt files to ``<root>/quarantine/``),
-and ``python -m repro.runtime.store migrate <root>`` packs a whole root
-in one shot.
+:class:`PackedStore` is the front end this cache shares with
+:class:`~repro.runtime.checkpoints.CheckpointStore`: the two differ
+only in their record codec, their ``put`` signature, and their
+``STORE_LABEL``.
 """
 
 from __future__ import annotations
@@ -44,12 +42,14 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 from repro.obs.trace import current_tracer
 from repro.runtime import knobs
+from repro.runtime.faults import active_plan
+from repro.runtime.store import SegmentStore
 
 __all__ = [
+    "PackedStore",
     "ResultCache",
     "StoreHealth",
     "default_cache_root",
-    "quarantine_files",
     "result_digest",
     "sweep_stale_tmp",
     "sweep_stale_tmp_once",
@@ -57,16 +57,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Subdirectory (of a store root) where corrupt legacy entries are moved.
-QUARANTINE_DIR = "quarantine"
-
 
 @dataclass
 class StoreHealth:
     """Fault counters for one store instance.
 
-    ``quarantined`` counts corrupt entries tombstoned or moved aside
-    (each cost one recompute); ``rehydrated`` counts payload spool
+    ``quarantined`` counts corrupt entries tombstoned (each cost one
+    recompute); ``rehydrated`` counts payload spool
     files re-created after vanishing mid-run
     (:meth:`PayloadStore.spill`); ``recovered`` counts committed
     records the packed store re-indexed from segment tails or a full
@@ -88,26 +85,6 @@ class StoreHealth:
             "truncated": self.truncated,
             "compactions": self.compactions,
         }
-
-
-def quarantine_files(root: Path, paths) -> int:
-    """Move ``paths`` into ``<root>/quarantine/``; returns files moved.
-
-    Corrupt legacy store entries are moved aside rather than deleted so
-    a post-mortem can inspect exactly what was on disk; the store never
-    addresses the subdirectory, so quarantined files are unreachable.
-    Vanished files count as already gone.
-    """
-    moved = 0
-    target_dir = root / QUARANTINE_DIR
-    for path in paths:
-        path = Path(path)
-        if not path.exists():
-            continue
-        target_dir.mkdir(parents=True, exist_ok=True)
-        os.replace(path, target_dir / path.name)
-        moved += 1
-    return moved
 
 
 def result_digest(result) -> str:
@@ -156,11 +133,13 @@ STALE_TMP_GRACE_S = 300.0
 def sweep_stale_tmp(root: Path, pattern: str = "*.tmp.*") -> int:
     """Remove crashed writers' ``*.tmp.*`` leftovers under ``root``.
 
-    Shared by the artifact writer (:mod:`repro.utils.artifacts`), the
-    packed stores' legacy-root maintenance, and ``prune``.  A file is
-    only removed when it is both older than :data:`STALE_TMP_GRACE_S`
-    (so a concurrent writer on another host is safe) and its pid names
-    no locally running process (so a stuck local writer is safe).
+    Shared by the artifact writer (:mod:`repro.utils.artifacts`) and
+    the packed stores' first put and ``prune``, where the leftover is
+    the ``index.tmp.<pid>`` file of an index snapshot that died before
+    its rename (:meth:`SegmentStore._write_snapshot`).  A file is only
+    removed when it is both older than :data:`STALE_TMP_GRACE_S` (so a
+    concurrent writer on another host is safe) and its pid names no
+    locally running process (so a stuck local writer is safe).
     """
     import time
 
@@ -218,28 +197,103 @@ def default_cache_root(fallback: "str | None" = None) -> str:
     return os.path.join("benchmarks", "results", "runtime_cache")
 
 
-class ResultCache:
-    """A packed, content-addressed store of task results."""
+class PackedStore:
+    """The front end :class:`ResultCache` and ``CheckpointStore`` share.
 
-    #: Fault-injection label for torn writes (``torn,cache:<key>``).
-    STORE_LABEL = "cache"
+    One :class:`SegmentStore` per root underneath.  Subclasses supply
+    ``STORE_LABEL`` (span/metric prefix and torn-write fault label),
+    ``_encode(key, *fields) -> bytes`` and ``_decode(key, raw)`` (the
+    validated value, or ``None`` if the record is corrupt), and define
+    their typed public ``get``/``put``/``flush`` in their own namespace
+    on top of :meth:`_traced_get` / :meth:`_traced_put`.
+    """
+
+    STORE_LABEL = "store"
 
     def __init__(self, root: "str | os.PathLike") -> None:
-        from repro.runtime.store import SegmentStore
-
         if not str(root):
-            raise ConfigurationError("cache root must be non-empty")
+            raise ConfigurationError(
+                f"{self.STORE_LABEL} root must be non-empty"
+            )
         self.root = Path(root)
         self.health = StoreHealth()
         self._store = SegmentStore(
             self.root, label=self.STORE_LABEL, health=self.health
         )
 
-    def path(self, key: str) -> Path:
-        """The *legacy* per-file location for ``key`` (one file per
-        entry, the pre-packed layout); used by the lazy migration path
-        and tests that seed legacy roots."""
-        return self.root / f"{key}.json"
+    def _traced_get(self, key: str):
+        """The decoded value for ``key``, or ``None`` on miss.
+
+        A present-but-corrupt record (CRC failure, wrong key, failed
+        integrity digest) is quarantined — tombstoned and counted on
+        :attr:`health` — and the caller just sees a miss and recomputes.
+        """
+        tracer = current_tracer()
+        if tracer is None:
+            return self._get(key)
+        label = self.STORE_LABEL
+        with tracer.span(f"{label}.get", "store", key=key) as span:
+            value = self._get(key)
+            hit = value is not None
+            span.attrs["hit"] = hit
+            tracer.metrics.inc(f"{label}.hits" if hit else f"{label}.misses")
+            return value
+
+    def _get(self, key: str):
+        raw = self._store.get(key)
+        if raw is None:
+            return None
+        value = self._decode(key, raw)
+        if value is None:
+            # Record bytes were intact (CRC passed) but the payload
+            # fails validation — same contract: tombstone + miss.
+            self._store.quarantine(key)
+        return value
+
+    def _traced_put(self, key: str, *fields) -> Path:
+        """Append one encoded record (atomic; last writer wins)."""
+        tracer = current_tracer()
+        if tracer is None:
+            return self._put(key, fields)
+        with tracer.span(f"{self.STORE_LABEL}.put", "store", key=key):
+            tracer.metrics.inc(f"{self.STORE_LABEL}.puts")
+            return self._put(key, fields)
+
+    def _put(self, key: str, fields: tuple) -> Path:
+        # First write into a root clears a dead snapshot writer's
+        # index.tmp.<pid> leftover; later puts skip the directory scan.
+        sweep_stale_tmp_once(self.root)
+        plan = active_plan()
+        # Injected torn write: the record lands with a broken CRC under
+        # an intact frame; the next reader quarantines + recomputes.
+        corrupt = plan is not None and plan.tear(self.STORE_LABEL, key)
+        return self._store.put(
+            key, self._encode(key, *fields), corrupt=corrupt
+        )
+
+    def keys(self) -> "list[str]":
+        """Keys of every entry currently stored (sorted, no dir scan)."""
+        return self._store.keys()
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def prune(self, live_keys) -> int:
+        """Compact away entries not in ``live_keys``; returns how many went.
+
+        Live records are copied forward into a fresh segment generation
+        and dead segments are removed atomically; stale ``*.tmp.*``
+        files of crashed snapshot writers are swept and counted too.
+        """
+        removed = self._store.compact(set(live_keys))
+        return removed + sweep_stale_tmp(self.root)
+
+
+class ResultCache(PackedStore):
+    """A packed, content-addressed store of task results."""
+
+    #: Fault-injection label for torn writes (``torn,cache:<key>``).
+    STORE_LABEL = "cache"
 
     def _encode(self, key: str, spec, result) -> bytes:
         payload = {
@@ -271,141 +325,14 @@ class ResultCache:
         """The cached result for ``key``, or ``None`` on miss.
 
         A present-but-corrupt entry (CRC failure, wrong key, failed
-        ``result_sha256`` check) is quarantined — tombstoned and
-        counted on :attr:`health` — and the caller just sees a miss
-        and recomputes.
+        ``result_sha256`` check) is quarantined and reported as a miss.
         """
-        tracer = current_tracer()
-        if tracer is None:
-            return self._get(key)
-        with tracer.span("cache.get", "store", key=key) as span:
-            result = self._get(key)
-            hit = result is not None
-            span.attrs["hit"] = hit
-            tracer.metrics.inc("cache.hits" if hit else "cache.misses")
-            return result
-
-    def _get(self, key: str):
-        raw = self._store.get(key)
-        if raw is not None:
-            result = self._decode(key, raw)
-            if result is None:
-                # Record bytes were intact (CRC passed) but the payload
-                # fails validation — same contract: tombstone + miss.
-                self._store.quarantine(key)
-            return result
-        if self._store.contains(key):
-            # Tombstoned (just quarantined, or quarantined earlier):
-            # a clean miss; never resurrect from a stale legacy file.
-            return None
-        return self._legacy_get(key)
-
-    def _legacy_get(self, key: str):
-        """Absorb a legacy per-file entry into the packed store."""
-        path = self.path(key)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return self._quarantine_legacy(key)
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return self._quarantine_legacy(key)
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            return self._quarantine_legacy(key)
-        result = payload.get("result")
-        recorded = payload.get("result_sha256")
-        if recorded is not None and recorded != result_digest(result):
-            return self._quarantine_legacy(key)
-        # Lazy migration: pack the entry, then retire the legacy file.
-        self._store.put(key, self._encode(key, payload.get("spec"), result))
-        path.unlink(missing_ok=True)
-        return result
-
-    def _quarantine_legacy(self, key: str):
-        """Move a corrupt legacy entry aside and report the miss."""
-        self.health.quarantined += quarantine_files(self.root, [self.path(key)])
-        tracer = current_tracer()
-        if tracer is not None:
-            tracer.metrics.inc("store.quarantined")
-            tracer.event("quarantine", "store", store="cache", key=key)
-        return None
+        return self._traced_get(key)
 
     def put(self, key: str, spec, result) -> Path:
         """Store one completed point (atomic append; last writer wins)."""
-        tracer = current_tracer()
-        if tracer is None:
-            return self._put(key, spec, result)
-        with tracer.span("cache.put", "store", key=key):
-            tracer.metrics.inc("cache.puts")
-            return self._put(key, spec, result)
-
-    def _put(self, key: str, spec, result) -> Path:
-        from repro.runtime.faults import active_plan
-
-        # First write into a root clears crashed legacy writers'
-        # *.tmp.* leftovers; later puts skip the directory scan.
-        sweep_stale_tmp_once(self.root)
-        plan = active_plan()
-        # Injected torn write: the record lands with a broken CRC,
-        # exactly as if the writer died mid-write after the index
-        # publish was queued; the next reader quarantines + recomputes.
-        corrupt = plan is not None and plan.tear("cache", key)
-        return self._store.put(
-            key, self._encode(key, spec, result), corrupt=corrupt
-        )
-
-    def legacy_keys(self) -> "list[str]":
-        """Keys still held as legacy per-file entries (sorted)."""
-        from repro.runtime.store import INDEX_NAME
-
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.stem
-            for p in self.root.glob("*.json")
-            if p.name != INDEX_NAME
-        )
-
-    def keys(self) -> "list[str]":
-        """Keys of every entry currently stored (sorted).
-
-        Packed entries come straight from the index (no directory
-        scan); legacy per-file entries not yet absorbed are unioned in
-        so a partially migrated root never under-reports.
-        """
-        packed = self._store.keys()
-        legacy = self.legacy_keys()
-        if not legacy:
-            return packed
-        return sorted(set(packed) | set(legacy))
-
-    def __len__(self) -> int:
-        legacy = self.legacy_keys()
-        if not legacy:
-            return len(self._store)
-        return len(self.keys())
+        return self._traced_put(key, spec, result)
 
     def flush(self) -> None:
         """Publish the packed index (cheap; bounds the next recovery scan)."""
         self._store.flush()
-
-    def prune(self, live_keys) -> int:
-        """Compact away entries not in ``live_keys``; returns how many went.
-
-        Replaces the per-file era's delete loop: live records are
-        copied forward into a fresh segment generation and dead
-        segments are removed atomically.  Legacy per-file leftovers
-        (dead entries, crashed writers' ``*.tmp.*`` residue) are swept
-        as before.
-        """
-        live = set(live_keys)
-        removed = 0
-        for key in self.legacy_keys():
-            if key not in live:
-                self.path(key).unlink(missing_ok=True)
-                removed += 1
-        removed += self._store.compact(live)
-        return removed + sweep_stale_tmp(self.root)

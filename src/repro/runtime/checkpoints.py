@@ -7,7 +7,7 @@ canonical training spec — dataset, widths, training config — plus the
 repro source digest, namespaced ``kind="train"`` so it can never
 collide with a result-cache address) and persisted through the packed
 segment store (:mod:`repro.runtime.store`).  One CRC-framed record per
-checkpoint carries both halves of the old two-file layout::
+checkpoint carries the metadata and the weights::
 
     meta_len (u32) | metadata JSON | np.savez bytes
 
@@ -17,13 +17,6 @@ half-written or corrupted checkpoint is a miss, never a wrong model.
 Because the key embeds the source digest, any library edit silently
 invalidates every checkpoint (exactly like the result cache); ``prune``
 compacts unaddressable leftovers away.
-
-Legacy layout: roots written by older versions hold ``<key>.npz`` +
-``<key>.json`` file pairs.  ``get`` absorbs such pairs into the packed
-store on first touch (validating them exactly as the legacy reader
-did, quarantining corrupt pairs to ``<root>/quarantine/``), and
-``python -m repro.runtime.store migrate <root>`` packs a whole root in
-one shot.
 """
 
 from __future__ import annotations
@@ -38,16 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.obs.trace import current_tracer
 from repro.runtime import knobs
-from repro.runtime.cache import (
-    StoreHealth,
-    quarantine_files,
-    sweep_stale_tmp,
-    sweep_stale_tmp_once,
-)
-from repro.runtime.faults import active_plan
+from repro.runtime.cache import PackedStore
 from repro.runtime.hashing import state_digest
 
 __all__ = ["Checkpoint", "CheckpointStore", "default_checkpoint_root"]
@@ -90,32 +75,11 @@ class Checkpoint:
     state_sha256: str = ""
 
 
-class CheckpointStore:
+class CheckpointStore(PackedStore):
     """A packed, content-addressed store of trained-model checkpoints."""
 
     #: Fault-injection label for torn writes (``torn,checkpoint:<key>``).
     STORE_LABEL = "checkpoint"
-
-    def __init__(self, root: "str | os.PathLike") -> None:
-        from repro.runtime.store import SegmentStore
-
-        if not str(root):
-            raise ConfigurationError("checkpoint store root must be non-empty")
-        self.root = Path(root)
-        self.health = StoreHealth()
-        self._store = SegmentStore(
-            self.root, label=self.STORE_LABEL, health=self.health
-        )
-
-    def weight_path(self, key: str) -> Path:
-        """The *legacy* per-file weight location (pre-packed layout)."""
-        return self.root / f"{key}.npz"
-
-    def meta_path(self, key: str) -> Path:
-        """The *legacy* per-file metadata location (pre-packed layout)."""
-        return self.root / f"{key}.json"
-
-    # -- encoding --------------------------------------------------------------
 
     def _encode(
         self,
@@ -170,22 +134,7 @@ class CheckpointStore:
             state_sha256=payload["state_sha256"],
         )
 
-    # -- read -----------------------------------------------------------------
-
     def get(self, key: str) -> "Checkpoint | None":
-        tracer = current_tracer()
-        if tracer is None:
-            return self._get(key)
-        with tracer.span("checkpoint.get", "store", key=key) as span:
-            checkpoint = self._get(key)
-            hit = checkpoint is not None
-            span.attrs["hit"] = hit
-            tracer.metrics.inc(
-                "checkpoint.hits" if hit else "checkpoint.misses"
-            )
-            return checkpoint
-
-    def _get(self, key: str) -> "Checkpoint | None":
         """The checkpoint for ``key``, or ``None`` on miss.
 
         A committed-but-corrupt record — CRC failure, garbled archive
@@ -193,78 +142,7 @@ class CheckpointStore:
         ``state_sha256`` — is quarantined (tombstoned and counted on
         :attr:`health`); the caller sees a miss and retrains.
         """
-        raw = self._store.get(key)
-        if raw is not None:
-            checkpoint = self._decode(key, raw)
-            if checkpoint is None:
-                self._store.quarantine(key)
-            return checkpoint
-        if self._store.contains(key):
-            return None  # tombstoned: clean miss, no legacy resurrection
-        return self._legacy_get(key)
-
-    def _legacy_get(self, key: str) -> "Checkpoint | None":
-        """Absorb a legacy two-file checkpoint into the packed store."""
-        try:
-            payload = json.loads(self.meta_path(key).read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            return self._quarantine_legacy(key)
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            return self._quarantine_legacy(key)
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            return self._quarantine_legacy(key)
-        try:
-            with np.load(self.weight_path(key)) as data:
-                state = {name: data[name] for name in data.files}
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-            # A truncated/garbled .npz (torn write, partial copy), or
-            # weights vanished after commit: BadZipFile and EOFError
-            # are what np.load raises on mangled zip containers.
-            return self._quarantine_legacy(key)
-        if state_digest(state) != payload.get("state_sha256"):
-            return self._quarantine_legacy(key)
-        checkpoint = Checkpoint(
-            key=key,
-            spec=payload.get("spec", {}),
-            state=state,
-            meta=payload.get("meta", {}),
-            state_sha256=payload["state_sha256"],
-        )
-        # Lazy migration: pack the pair, then retire the legacy files.
-        self._store.put(
-            key,
-            self._encode(
-                key,
-                checkpoint.spec,
-                state,
-                checkpoint.meta,
-                checkpoint.state_sha256,
-            ),
-        )
-        self.meta_path(key).unlink(missing_ok=True)
-        self.weight_path(key).unlink(missing_ok=True)
-        return checkpoint
-
-    def _quarantine_legacy(self, key: str):
-        """Move a corrupt legacy checkpoint (both files) aside; miss."""
-        moved = quarantine_files(
-            self.root, [self.meta_path(key), self.weight_path(key)]
-        )
-        # One counter tick per entry (not per file), so cache and
-        # checkpoint quarantine counts are comparable in health dicts.
-        if moved:
-            self.health.quarantined += 1
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.metrics.inc("store.quarantined")
-                tracer.event(
-                    "quarantine", "store", store="checkpoint", key=key
-                )
-        return None
-
-    # -- write ----------------------------------------------------------------
+        return self._traced_get(key)
 
     def put(
         self,
@@ -281,91 +159,8 @@ class CheckpointStore:
         readable-but-wrong checkpoint.  ``state_sha256`` lets a caller
         that already digested ``state`` skip the re-hash.
         """
-        tracer = current_tracer()
-        if tracer is None:
-            return self._put(key, spec, state, meta, state_sha256)
-        with tracer.span("checkpoint.put", "store", key=key):
-            tracer.metrics.inc("checkpoint.puts")
-            return self._put(key, spec, state, meta, state_sha256)
-
-    def _put(
-        self,
-        key: str,
-        spec,
-        state: "dict[str, np.ndarray]",
-        meta: "dict | None" = None,
-        state_sha256: "str | None" = None,
-    ) -> Path:
-        # First write into a root clears crashed legacy writers'
-        # *.tmp.* leftovers; later puts skip the directory scan.
-        sweep_stale_tmp_once(self.root)
-        plan = active_plan()
-        # Injected torn write: the record lands with a broken CRC under
-        # an intact frame — the strongest corruption `get` must catch.
-        corrupt = plan is not None and plan.tear("checkpoint", key)
-        return self._store.put(
-            key,
-            self._encode(key, spec, state, meta, state_sha256),
-            corrupt=corrupt,
-        )
-
-    # -- maintenance -----------------------------------------------------------
-
-    def legacy_keys(self) -> "list[str]":
-        """Keys still held as legacy two-file checkpoints (sorted)."""
-        from repro.runtime.store import INDEX_NAME
-
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.stem
-            for p in self.root.glob("*.json")
-            if p.name != INDEX_NAME and self.weight_path(p.stem).exists()
-        )
-
-    def keys(self) -> "list[str]":
-        """Keys of every committed checkpoint (sorted, no dir scan when
-        the root holds no legacy leftovers)."""
-        packed = self._store.keys()
-        legacy = self.legacy_keys()
-        if not legacy:
-            return packed
-        return sorted(set(packed) | set(legacy))
-
-    def __len__(self) -> int:
-        legacy = self.legacy_keys()
-        if not legacy:
-            return len(self._store)
-        return len(self.keys())
+        return self._traced_put(key, spec, state, meta, state_sha256)
 
     def flush(self) -> None:
         """Publish the packed index (cheap; bounds the next recovery scan)."""
         self._store.flush()
-
-    def prune(self, live_keys) -> int:
-        """Compact away checkpoints not in ``live_keys``; returns removals.
-
-        Packed dead entries are dropped by compaction; legacy leftovers
-        (dead pairs, orphans, stale ``*.tmp.*`` residue of crashed
-        pre-packed writers) are swept file by file as before.
-        """
-        live = set(live_keys)
-        removed = 0
-        if self.root.is_dir():
-            for path in list(self.root.glob("*.json")) + list(
-                self.root.glob("*.npz")
-            ):
-                name = path.name
-                if ".tmp." in name or name == "index.json":
-                    continue  # temp residue handled by the sweep below
-                key = path.stem
-                if key in live:
-                    # Never touch a live key, even half-committed: a
-                    # legacy writer may have died between its weight
-                    # rename and its metadata commit, and the residue
-                    # is harmless (get() misses; the next put wins).
-                    continue
-                path.unlink(missing_ok=True)
-                removed += 1
-        removed += self._store.compact(live)
-        return removed + sweep_stale_tmp(self.root)

@@ -1,12 +1,12 @@
 """Crash-safe packed segment store: the fleet-scale durability layer.
 
-:class:`ResultCache` and :class:`~repro.runtime.checkpoints.
-CheckpointStore` used to persist one file (pair) per content address —
-perfect for resumability, fatal at 10^5-10^6 cached rounds (directory
-scans on every ``keys()``, inode churn, O(n) prune).  This module packs
-every entry into a handful of bounded, append-only **segment files**
-behind an in-memory hash index, with a commit protocol that keeps the
-interrupted-run resume guarantee byte-exact at fleet scale.
+:class:`~repro.runtime.cache.ResultCache` and
+:class:`~repro.runtime.checkpoints.CheckpointStore` persist every entry
+through this module, which packs entries into a handful of bounded,
+append-only **segment files** behind an in-memory hash index, with a
+commit protocol that keeps the interrupted-run resume guarantee
+byte-exact at fleet scale (no directory scans, no inode per entry, no
+O(n) prune).
 
 Layout (all under one store root)::
 
@@ -37,17 +37,17 @@ Commit protocol
   — a record whose frame runs past end-of-file or whose CRC fails at
   the tail — is truncated and counted, never served.  A full-frame
   CRC failure *mid*-segment (bit rot) is skipped, not served.
-- **Compaction** (:meth:`SegmentStore.compact`) replaces the per-file
-  era's ``prune``: live records are copied forward into a new segment
+- **Compaction** (:meth:`SegmentStore.compact`, what ``prune``
+  drives): live records are copied forward into a new segment
   generation, the new index snapshot is renamed into place (the commit
   point), and only then are the dead generation's segments deleted.  A
   crash on either side of the rename leaves a store that opens clean:
   orphan segments from other generations are discarded because every
   committed record they held lives in the indexed generation.
-- **Quarantine** (PR 6 semantics): a CRC-failing or mis-keyed record
-  is *tombstoned* — a tombstone record is appended and the key
-  reported as a miss — and counted on the store's health, so a
-  corrupted entry costs one recompute, never a wrong number.
+- **Quarantine**: a CRC-failing or mis-keyed record is *tombstoned*
+  — a tombstone record is appended and the key reported as a miss —
+  and counted on the store's health, so a corrupted entry costs one
+  recompute, never a wrong number.
 
 Concurrent writers on one root interleave safely: every append takes
 the ``flock``, re-reads the segment size under it, and absorbs any
@@ -60,20 +60,16 @@ as if the writer was killed mid-``write``) and ``index:<store-label>``
 (the snapshot lands corrupt, forcing a full rebuild scan on the next
 open) in addition to the store-level ``cache:<key>`` /
 ``checkpoint:<key>`` labels.
-
-``python -m repro.runtime.store migrate <root>`` migrates a legacy
-per-file store root into packed segments in place (see :func:`migrate`).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
 import threading
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 try:
@@ -89,7 +85,6 @@ from repro.runtime.faults import active_plan
 __all__ = [
     "SegmentStore",
     "RecordLocation",
-    "migrate",
     "default_segment_bytes",
     "default_snapshot_every",
 ]
@@ -109,8 +104,7 @@ KIND_TOMBSTONE = 2
 _HEADER = struct.Struct("<4sBHII")
 HEADER_SIZE = _HEADER.size
 
-#: Reserved file names inside a store root (legacy per-file entries can
-#: never collide: their stems are content hashes / caller keys).
+#: Reserved file names inside a store root.
 INDEX_NAME = "index.json"
 LOCK_NAME = ".lock"
 SEGMENTS_DIR = "segments"
@@ -220,9 +214,9 @@ class SegmentStore:
     root:
         The store directory (created on first write).
     label:
-        Short name used in fault-injection labels (``index:<label>``),
-        tracer events, and the migration summary — ``"cache"`` or
-        ``"checkpoint"`` for the built-in wrappers.
+        Short name used in fault-injection labels (``index:<label>``)
+        and tracer events — ``"cache"`` or ``"checkpoint"`` for the
+        built-in front ends.
     health:
         A :class:`~repro.runtime.cache.StoreHealth` to tick counters
         on (quarantines, recovered records, truncated tails,
@@ -660,7 +654,7 @@ class SegmentStore:
         return self._segment_path(location.segment)
 
     def quarantine(self, key: str) -> None:
-        """Tombstone a corrupt entry and count it (PR 6 semantics)."""
+        """Tombstone a corrupt entry and count it on the store's health."""
         if not self._ensure_open(create=False):
             return
         self._append(KIND_TOMBSTONE, key, b"")
@@ -801,13 +795,6 @@ class SegmentStore:
             return None
         return body[key_len:]
 
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is indexed (live *or* tombstoned)."""
-        if not self._ensure_open(create=False):
-            return False
-        with self._mutex:
-            return key in self._entries
-
     def keys(self) -> "list[str]":
         """Sorted live keys (tombstoned ones excluded) — no dir scan."""
         if not self._ensure_open(create=False):
@@ -844,7 +831,7 @@ class SegmentStore:
             if tracer is not None
             else None
         )
-        with span if span is not None else _nullcontext():
+        with span if span is not None else nullcontext():
             dropped = self._compact(live)
         self.health.compactions += 1
         if tracer is not None:
@@ -918,97 +905,3 @@ class SegmentStore:
             for name in old_segments:
                 self._discard_segment(name)
             return dropped
-
-
-class _nullcontext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-# -- migration -----------------------------------------------------------------
-
-
-def migrate(root: "str | os.PathLike", kind: str = "auto") -> dict:
-    """Migrate a legacy per-file store root into packed segments.
-
-    ``kind`` is ``"cache"`` (``<key>.json`` result entries),
-    ``"checkpoint"`` (``<key>.npz`` + ``<key>.json`` pairs), or
-    ``"auto"`` (sniff: any ``.npz`` present means checkpoint).  Every
-    readable legacy entry is absorbed into the packed store **through
-    the same validation path ``get`` uses**, so results are
-    byte-identical before and after; corrupt legacy entries are
-    quarantined to ``<root>/quarantine/`` exactly as a legacy read
-    would have.  Migrated source files are removed.  Returns a summary
-    dict (``kind``, ``migrated``, ``quarantined``, ``remaining``).
-    """
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.checkpoints import CheckpointStore
-
-    root = Path(root)
-    if not root.is_dir():
-        raise ConfigurationError(f"store root {str(root)!r} is not a directory")
-    if kind == "auto":
-        kind = (
-            "checkpoint"
-            if any(root.glob("*.npz"))
-            else "cache"
-        )
-    if kind == "cache":
-        store = ResultCache(root)
-    elif kind == "checkpoint":
-        store = CheckpointStore(root)
-    else:
-        raise ConfigurationError(
-            f"unknown store kind {kind!r}; expected cache|checkpoint|auto"
-        )
-    legacy = store.legacy_keys()
-    migrated = 0
-    before = store.health.quarantined
-    for key in legacy:
-        if store.get(key) is not None:
-            migrated += 1
-    store.flush()
-    return {
-        "root": str(root),
-        "kind": kind,
-        "legacy_entries": len(legacy),
-        "migrated": migrated,
-        "quarantined": store.health.quarantined - before,
-        "packed_entries": len(store),
-    }
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.runtime.store",
-        description="packed segment store maintenance",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    mig = sub.add_parser(
-        "migrate",
-        help="pack a legacy per-file cache/checkpoint root into segments",
-    )
-    mig.add_argument("root", help="store root directory")
-    mig.add_argument(
-        "--kind",
-        choices=("auto", "cache", "checkpoint"),
-        default="auto",
-        help="legacy layout to expect (default: sniff)",
-    )
-    args = parser.parse_args(argv)
-    if args.command == "migrate":
-        summary = migrate(args.root, kind=args.kind)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    return 2  # pragma: no cover - argparse enforces the subcommand
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    import sys
-
-    sys.exit(main())

@@ -135,35 +135,16 @@ class TestResultCache:
         assert payload["key"] == key
         assert payload["spec"] == {"x": 5}
 
-    def test_legacy_entry_absorbed_on_first_get(self, tmp_path):
-        # Pre-packed roots hold one <key>.json per entry; get must
-        # serve it byte-identically, pack it, and retire the file.
-        from repro.runtime.cache import result_digest
-
-        cache = ResultCache(tmp_path)
-        key = task_key({"x": 6}, "v")
-        payload = {
-            "schema_version": 1,
-            "key": key,
-            "spec": {"x": 6},
-            "result": {"ber": 0.0625},
-            "result_sha256": result_digest({"ber": 0.0625}),
-        }
-        cache.path(key).write_text(json.dumps(payload))
-        assert cache.keys() == [key]  # visible before absorption
-        assert cache.get(key) == {"ber": 0.0625}
-        assert not cache.path(key).exists()
-        reopened = ResultCache(tmp_path)
-        assert reopened.get(key) == {"ber": 0.0625}
-
-    def test_corrupt_legacy_entry_is_quarantined(self, tmp_path):
+    def test_garbage_json_record_is_quarantined(self, tmp_path):
+        # A record whose CRC frame is valid but whose payload is not
+        # JSON: decode fails, so it is tombstoned, counted, and a miss.
         cache = ResultCache(tmp_path)
         key = task_key({"x": 7}, "v")
-        cache.path(key).write_text("{not json")
+        cache._store.put(key, b"{not json")
         assert cache.get(key) is None
         assert cache.health.quarantined == 1
-        assert (tmp_path / "quarantine" / f"{key}.json").exists()
         assert cache.keys() == []
+        assert len(cache) == 0
 
     def test_prune(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -210,6 +191,9 @@ class TestResultCache:
         # The first put a process makes into a root clears crashed
         # writers' leftovers; later puts skip the directory scan (the
         # hot path pays O(1), prune still sweeps unconditionally).
+        # index.tmp.<pid> is the temp file an index snapshot writes
+        # before its rename: a dead writer's is residue, a live
+        # writer's is an in-flight snapshot and must survive.
         cache = ResultCache(tmp_path)
         key = task_key({"x": 2}, "v")
         gone = dead_pid()
@@ -217,10 +201,23 @@ class TestResultCache:
         stale.write_text("{interrupted")
         other = tmp_path / f"deadbeef.tmp.{gone}"
         other.write_text("{interrupted")
-        backdate(stale)
-        backdate(other)
-        cache.put(key, {"x": 2}, {"ber": 0.25})
-        assert not stale.exists() and not other.exists()
+        dead_snapshot = tmp_path / f"index.tmp.{gone}"
+        dead_snapshot.write_text("{interrupted")
+        live = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(30)"]
+        )
+        try:
+            live_snapshot = tmp_path / f"index.tmp.{live.pid}"
+            live_snapshot.write_text("{mid-write")
+            for path in (stale, other, dead_snapshot, live_snapshot):
+                backdate(path)
+            cache.put(key, {"x": 2}, {"ber": 0.25})
+            assert not stale.exists() and not other.exists()
+            assert not dead_snapshot.exists()
+            assert live_snapshot.exists()
+        finally:
+            live.kill()
+            live.wait()
         assert cache.get(key) == {"ber": 0.25}
         # New residue after the first put stays until prune runs.
         late = tmp_path / f"deadbeef.tmp.{gone}"

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.checkpoints import CHECKPOINT_KIND, CheckpointStore
-from repro.runtime.hashing import task_key
+from repro.runtime.hashing import state_digest, task_key
 
 
 def dead_pid() -> int:
@@ -43,20 +45,35 @@ def _key(i: int) -> str:
     return task_key({"x": i}, "v", kind=CHECKPOINT_KIND)
 
 
-def _legacy_put(store, key, spec, state, meta=None) -> None:
-    """Write a pre-packed two-file checkpoint (<key>.json + <key>.npz)."""
-    from repro.runtime.hashing import state_digest
-
+def _meta(key, state, **overrides) -> bytes:
+    """The metadata half of a checkpoint record, fields overridable."""
     payload = {
         "schema_version": 1,
         "key": key,
-        "spec": spec,
+        "spec": {},
         "state_sha256": state_digest(state),
-        "meta": dict(meta or {}),
+        "meta": {},
+        **overrides,
     }
-    store.root.mkdir(parents=True, exist_ok=True)
-    np.savez(store.weight_path(key), **state)
-    store.meta_path(key).write_text(json.dumps(payload, sort_keys=True))
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _npz(state) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **state)
+    return buffer.getvalue()
+
+
+def _put_record(store, key, meta: bytes, weights: bytes) -> None:
+    """Append a hand-built record under a valid CRC frame, so only the
+    checkpoint codec (never the frame check) can reject it."""
+    store._store.put(key, struct.pack("<I", len(meta)) + meta + weights)
+
+
+def _assert_quarantined(store, key, count: int) -> None:
+    assert store.get(key) is None
+    assert store.health.quarantined == count
+    assert key not in store.keys()
 
 
 class TestCheckpointStore:
@@ -77,41 +94,20 @@ class TestCheckpointStore:
         assert store.keys() == [key]
         assert len(store) == 1
 
-    def test_legacy_pair_absorbed_on_first_get(self, tmp_path):
-        # Pre-packed roots hold <key>.json + <key>.npz pairs; get must
-        # serve them bit-identically, pack them, and retire the files.
-        store = CheckpointStore(tmp_path)
-        key = _key(20)
-        state = _state(3)
-        _legacy_put(store, key, {"x": 20}, state, meta={"v": 3})
-        assert store.keys() == [key]  # visible before absorption
-        loaded = store.get(key)
-        assert loaded is not None and loaded.meta == {"v": 3}
-        np.testing.assert_array_equal(loaded.state["p0.bias"], state["p0.bias"])
-        assert not store.meta_path(key).exists()
-        assert not store.weight_path(key).exists()
-        reopened = CheckpointStore(tmp_path)
-        again = reopened.get(key)
-        assert again is not None
-        assert again.state_sha256 == loaded.state_sha256
-
     def test_missing_weights_is_a_miss(self, tmp_path):
+        # Metadata with no weight archive behind it.
         store = CheckpointStore(tmp_path)
         key = _key(2)
-        _legacy_put(store, key, {"x": 2}, _state())
-        store.weight_path(key).unlink()
-        assert store.get(key) is None
-        assert store.keys() == []
+        _put_record(store, key, _meta(key, _state()), b"")
+        _assert_quarantined(store, key, 1)
 
     def test_corrupted_weights_are_a_miss(self, tmp_path):
         # Weights whose bytes no longer hash to the recorded digest must
         # not be served — retraining beats silently loading a wrong model.
         store = CheckpointStore(tmp_path)
         key = _key(3)
-        _legacy_put(store, key, {"x": 3}, _state())
-        other = _state(seed=9)
-        np.savez(store.weight_path(key), **other)
-        assert store.get(key) is None
+        _put_record(store, key, _meta(key, _state()), _npz(_state(seed=9)))
+        _assert_quarantined(store, key, 1)
 
     def test_truncated_npz_is_a_miss(self, tmp_path):
         # A torn write can leave a half-written zip container; np.load
@@ -119,13 +115,12 @@ class TestCheckpointStore:
         # (retrain), never propagate into a warm rebuild.
         store = CheckpointStore(tmp_path)
         key = _key(10)
-        _legacy_put(store, key, {"x": 10}, _state())
-        raw = store.weight_path(key).read_bytes()
-        store.weight_path(key).write_bytes(raw[: len(raw) // 2])
-        assert store.get(key) is None
-        _legacy_put(store, _key(11), {"x": 11}, _state())
-        store.weight_path(_key(11)).write_bytes(b"PK")  # zip magic only
-        assert store.get(_key(11)) is None
+        raw = _npz(_state())
+        _put_record(store, key, _meta(key, _state()), raw[: len(raw) // 2])
+        _assert_quarantined(store, key, 1)
+        key = _key(11)
+        _put_record(store, key, _meta(key, _state()), b"PK")  # zip magic only
+        _assert_quarantined(store, key, 2)
 
     def test_corrupted_record_is_a_miss(self, tmp_path):
         # Same contract for the packed layout: a record whose bytes no
@@ -144,17 +139,27 @@ class TestCheckpointStore:
     def test_corrupt_meta_is_a_miss(self, tmp_path):
         store = CheckpointStore(tmp_path)
         key = _key(4)
-        _legacy_put(store, key, {"x": 4}, _state())
-        store.meta_path(key).write_text("{not json")
-        assert store.get(key) is None
+        _put_record(store, key, b"{not json", _npz(_state()))
+        _assert_quarantined(store, key, 1)
+        # A metadata length running past the record's end.
+        key = _key(14)
+        store._store.put(key, struct.pack("<I", 1 << 20) + b"{}")
+        _assert_quarantined(store, key, 2)
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
+        # A record whose metadata names another key is never served
+        # under this one.
         store = CheckpointStore(tmp_path)
         key, other = _key(5), _key(6)
-        _legacy_put(store, key, {"x": 5}, _state())
-        store.meta_path(other).write_text(store.meta_path(key).read_text())
-        np.savez(store.weight_path(other), **_state())
-        assert store.get(other) is None
+        _put_record(store, other, _meta(key, _state()), _npz(_state()))
+        _assert_quarantined(store, other, 1)
+
+    def test_schema_mismatch_is_a_miss(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        key = _key(15)
+        meta = _meta(key, _state(), schema_version=2)
+        _put_record(store, key, meta, _npz(_state()))
+        _assert_quarantined(store, key, 1)
 
     def test_meta_layout(self, tmp_path):
         import struct
@@ -176,31 +181,33 @@ class TestCheckpointStore:
         keys = [_key(i) for i in range(3)]
         for i, key in enumerate(keys):
             store.put(key, {"x": i}, _state(i))
-        # An orphaned npz (no metadata), plus a stale write-temp file.
-        np.savez(store.weight_path("feed1234"), **_state())
-        leftover = tmp_path / f"{keys[0]}.tmp.{dead_pid()}"
+        # A dead snapshot writer's index temp file.
+        leftover = tmp_path / f"index.tmp.{dead_pid()}"
         leftover.write_text("{interrupted")
         backdate(leftover)
         removed = store.prune(keys[:1])
-        # 2 dead packed records + 1 legacy orphan + 1 temp file.
-        assert removed == 4
+        # 2 dead packed records + 1 temp file.
+        assert removed == 3
+        assert not leftover.exists()
         assert store.keys() == [keys[0]]
         assert store.get(keys[0]) is not None
 
     def test_prune_spares_half_committed_live_keys(self, tmp_path):
-        # A concurrent writer sits between its weight rename and its
-        # metadata commit; prune must never delete a live key's files,
-        # committed or not.
-        store = CheckpointStore(tmp_path)
-        key = _key(11)
-        np.savez(store.weight_path(key), **_state())  # weights, no meta yet
-        assert store.prune([key]) == 0
-        assert store.weight_path(key).exists()
-        # The same half-written pair for a *dead* key is fair game.
-        other = _key(12)
-        np.savez(store.weight_path(other), **_state())
-        assert store.prune([key]) == 1
-        assert not store.weight_path(other).exists()
+        # Another handle's records are committed in the segment but in
+        # no index this handle has read; prune must catch up and keep
+        # them while live, and drop one only once it is dead.
+        pruner = CheckpointStore(tmp_path)
+        pruner.put(_key(10), {"x": 10}, _state())
+        writer = CheckpointStore(tmp_path)
+        key, other = _key(11), _key(12)
+        writer.put(key, {"x": 11}, _state())
+        writer.put(other, {"x": 12}, _state())
+        assert pruner.keys() == [_key(10)]  # not seen yet
+        assert pruner.prune([_key(10), key, other]) == 0
+        assert pruner.get(key) is not None
+        assert pruner.get(other) is not None
+        assert pruner.prune([_key(10), key]) == 1
+        assert CheckpointStore(tmp_path).keys() == sorted([_key(10), key])
 
     def test_put_overwrites_and_sweeps_stale_tmp(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -308,17 +308,6 @@ class TestPoolRecovery:
 
 
 class TestStoreQuarantine:
-    def test_corrupt_legacy_cache_entry_is_quarantined(self, tmp_path):
-        # A pre-packed root's corrupt <key>.json is moved aside on
-        # first touch instead of being absorbed.
-        cache = ResultCache(tmp_path)
-        cache.path("k1").write_text("{ totally not json")
-        assert cache.get("k1") is None
-        assert cache.health.quarantined == 1
-        assert not cache.path("k1").exists()
-        assert (tmp_path / "quarantine" / "k1.json").exists()
-        assert cache.keys() == []  # quarantine/ is unaddressable
-
     def test_digest_mismatch_is_quarantined(self, tmp_path):
         from repro.runtime.cache import result_digest
 
@@ -330,9 +319,10 @@ class TestStoreQuarantine:
             "result": {"ber": 0.25},  # bit-rot: result no longer
             "result_sha256": result_digest({"ber": 0.5}),  # matches digest
         }
-        cache.path("k1").write_text(json.dumps(payload))
+        cache._store.put("k1", json.dumps(payload).encode())
         assert cache.get("k1") is None
         assert cache.health.quarantined == 1
+        assert cache.keys() == []
 
     def test_packed_digest_mismatch_is_quarantined(self, tmp_path):
         # Same contract inside a packed record: an entry whose payload
@@ -375,28 +365,6 @@ class TestStoreQuarantine:
         loaded = store.get("k1")
         assert loaded is not None
         assert np.array_equal(loaded.state["w"], state["w"])
-
-    def test_checkpoint_digest_mismatch_quarantines_both_files(
-        self, tmp_path
-    ):
-        from repro.runtime.hashing import state_digest
-
-        store = CheckpointStore(tmp_path)
-        state = {"w": np.arange(4.0)}
-        payload = {
-            "schema_version": 1,
-            "key": "k1",
-            "spec": {"spec": 1},
-            "state_sha256": state_digest(state),
-            "meta": {},
-        }
-        (tmp_path / "k1.json").write_text(json.dumps(payload))
-        np.savez(tmp_path / "k1.npz", w=np.zeros(4))  # swapped weights
-        assert store.get("k1") is None
-        assert not (tmp_path / "k1.npz").exists()
-        assert not (tmp_path / "k1.json").exists()
-        assert (tmp_path / "quarantine" / "k1.npz").exists()
-        assert (tmp_path / "quarantine" / "k1.json").exists()
 
     def test_vanished_spool_file_is_rehydrated(self, tmp_path):
         clear_payload_cache()
