@@ -102,8 +102,8 @@ def main() -> None:
     config = zoo.configurations()[0]
     print(
         f"\nThe zoo serves {len(zoo)} models for {config.label()}; an AP "
-        "ships it to STAs with zoo.save(dir), and a NetworkSession deploys "
-        "it directly (see examples/network_session.py).  Checkpoint keys "
+        "ships it to STAs with zoo.save(dir), and a NetworkCampaign deploys "
+        "it directly (see examples/network_campaign.py).  Checkpoint keys "
         "hash the dataset spec, architecture, training recipe, and source "
         "digest, so any library edit retrains while a grid tweak retrains "
         "only what changed (docs/runtime.md)."

@@ -78,7 +78,6 @@ from repro.core.pipeline import SplitBeamFeedback
 from repro.baselines import Dot11Feedback, IdealSvdFeedback, LbSciFi, train_lbscifi
 from repro.phy import LinkConfig, LinkSimulator
 from repro.channels import Environment, E1, E2, SYNTHETIC, environment
-from repro.core.session import NetworkSession, SessionReport
 from repro.core.network import (
     NetworkCampaign,
     NetworkCampaignResult,
@@ -166,9 +165,7 @@ __all__ = [
     "E2",
     "SYNTHETIC",
     "environment",
-    # sessions / campaigns / sounding / fpga
-    "NetworkSession",
-    "SessionReport",
+    # campaigns / sounding / fpga
     "NetworkCampaign",
     "NetworkCampaignResult",
     "run_campaign",

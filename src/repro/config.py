@@ -3,8 +3,8 @@
 The paper's settings (10,000 samples per dataset, 40 training epochs)
 are hours of laptop compute across all experiments; ``FAST`` keeps every
 pipeline identical but shrinks sample counts so the benchmark suite
-finishes in minutes.  EXPERIMENTS.md records which preset produced each
-reported number.
+finishes in minutes.  Every engine artifact records the preset that
+produced its numbers in its ``fidelity`` field.
 
 Two regimes matter (``examples/cross_environment.py`` exercises the
 second):

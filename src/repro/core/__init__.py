@@ -48,7 +48,6 @@ from repro.core.adaptive import (
     select_model,
     AdaptiveCompressionController,
 )
-from repro.core.session import NetworkSession, SessionReport, RoundRecord
 from repro.core.network import (
     NetworkCampaign,
     NetworkCampaignResult,
@@ -92,9 +91,6 @@ __all__ = [
     "SelectionOutcome",
     "select_model",
     "AdaptiveCompressionController",
-    "NetworkSession",
-    "SessionReport",
-    "RoundRecord",
     "NetworkCampaign",
     "NetworkCampaignResult",
     "run_campaign",

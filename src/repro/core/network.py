@@ -52,10 +52,10 @@ from repro.core.adaptive import (
     select_model,
 )
 from repro.core.costs import StaCostModel
-from repro.core.session import dot11_round_scheme, entry_round_scheme
+from repro.core.split import BottleneckQuantizer
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.core.zoo_builder import train_zoo
-from repro.datasets import build_dataset, dataset_spec
+from repro.datasets import CsiDataset, build_dataset, dataset_spec
 from repro.errors import ConfigurationError
 from repro.obs import trace as trace_mod
 from repro.obs.export import write_trace
@@ -81,6 +81,7 @@ from repro.runtime.spec import (
 )
 from repro.sounding.aging import stale_sinr_db
 from repro.sounding.campaign import SoundingCampaign, combine_reports
+from repro.standard.feedback import Dot11FeedbackConfig, bmr_bits
 from repro.standard.flopmodel import dot11_flops
 from repro.utils.artifacts import write_json_artifact
 
@@ -102,7 +103,7 @@ CAMPAIGN_ROUND_KIND = "network-round"
 ROUND_FN = "repro.runtime.tasks:network_round"
 
 #: Link-adaptation backoff applied when mapping a round's measured SINR
-#: to the MCS behind the goodput accounting (matches NetworkSession).
+#: to the MCS behind the goodput accounting.
 MCS_BACKOFF_DB = 3.0
 
 
@@ -207,6 +208,62 @@ class _DatasetPool:
             return self._built[key]
 
         return build
+
+
+def _dot11_round_scheme(dataset: CsiDataset, indices: np.ndarray) -> dict:
+    """The 802.11 payload for one round task.
+
+    Ships the ground-truth beamforming slice the standard quantizer
+    reconstructs from — never the dataset itself.  The slice is unique
+    per round, so it travels inline: interning it would pin every
+    round's arrays in the payload store for the whole run for zero
+    dedup benefit.
+    """
+    spec = dataset.spec
+    bits = bmr_bits(
+        Dot11FeedbackConfig(
+            n_tx=spec.n_tx,
+            n_rx=spec.n_rx,
+            n_streams=1,
+            bandwidth_mhz=spec.bandwidth_mhz,
+        )
+    )
+    return {
+        "kind": "dot11",
+        "bits": bits,
+        "bf_true": dataset.link_bf(indices),
+    }
+
+
+def _entry_round_scheme(
+    dataset: CsiDataset, indices: np.ndarray, entry: ZooEntry, payloads=None
+) -> dict:
+    """A zoo entry's payload for one round task (model + inputs).
+
+    With ``payloads``, the model and quantizer are interned: the pair
+    is shared by every round that deploys the same rung, so each worker
+    deserializes it once per run instead of once per round task.  The
+    per-round input rows are unique, so they always travel inline
+    (interning them would pin every round's arrays for the whole run).
+    """
+    model = entry.model
+    quantizer = (
+        BottleneckQuantizer(entry.quantizer_bits)
+        if entry.quantizer_bits is not None
+        else None
+    )
+    x, _ = dataset.model_arrays(indices)
+    if payloads is not None:
+        model = payloads.intern(model)
+        quantizer = payloads.intern(quantizer)
+    return {
+        "kind": "model",
+        "label": entry.model.label(),
+        "bits": entry.feedback_bits,
+        "model": model,
+        "quantizer": quantizer,
+        "x": x,
+    }
 
 
 class _StaState:
@@ -346,11 +403,11 @@ class _StaState:
         dataset = self._dataset()
         indices = self.round_indices(round_index)
         if rung is not None:
-            scheme = entry_round_scheme(
+            scheme = _entry_round_scheme(
                 dataset, indices, rung, payloads=payloads
             )
         else:
-            scheme = dot11_round_scheme(dataset, indices)
+            scheme = _dot11_round_scheme(dataset, indices)
         return {
             "channels": dataset.link_channels(indices),
             "link_config": self.round_link(round_index, interval_s, episodes),

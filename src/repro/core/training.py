@@ -81,7 +81,7 @@ def splitbeam_training_config(fidelity: Fidelity, seed: int) -> TrainingConfig:
     # or badly under-trains (with it) on the wide 160 MHz models, while
     # Adam reproduces the paper's BER band everywhere — e.g. coded BER
     # 0.018 vs 802.11's 0.020 on D15.  We therefore use Adam for all
-    # datasets; see EXPERIMENTS.md.
+    # datasets.
     optimizer = "adam"
     milestones = (
         max(1, fidelity.epochs // 2),
@@ -214,7 +214,7 @@ def bf_from_model_inputs(
 
     ``x`` holds one row per (sample, user) as produced by
     :meth:`CsiDataset.model_arrays`; callers that cannot (or should
-    not) ship a whole dataset — e.g. session round tasks on a worker
+    not) ship a whole dataset — e.g. campaign round tasks on a worker
     pool — extract the rows once and call this directly.
     """
     if isinstance(model, SplitBeamNet) and quantizer is not None:

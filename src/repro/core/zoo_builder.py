@@ -20,7 +20,7 @@ rebuild loads weights instead of spending epochs::
         store=CheckpointStore("benchmarks/results/checkpoint_store"),
         n_workers=4,
     )
-    zoo = result.zoo()          # a ModelZoo, ready for NetworkSession
+    zoo = result.zoo()          # a ModelZoo, ready for select_model
     result.entry("D1 K=1/8")    # one ZooEntry by grid label
 
 Checkpoint keys are the sha256 of (dataset spec, resolved widths,

@@ -1,6 +1,6 @@
 """``repro.runtime``: parallel experiment orchestration.
 
-The figure benchmarks, sweeps, and session campaigns all expand to grids
+The figure benchmarks, sweeps, and network campaigns all expand to grids
 of *pure, seeded* measurement tasks.  This package turns those grids
 into explicit plans and executes them with reuse:
 

@@ -2,7 +2,7 @@
 
 Scenario points are independent measurements, so the plan is a flat DAG
 (no edges) of :class:`~repro.runtime.executor.Task` entries; dependency
-edges are the executor's job for sequential workloads such as session
+edges are the executor's job for sequential workloads such as network
 campaigns.  The planner's value is the bookkeeping: every point gets a
 stable cache key, and a shard label chosen so workers that memoize
 datasets/models per process see related tasks back to back.

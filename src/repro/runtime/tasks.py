@@ -22,7 +22,6 @@ from repro.phy.link import LinkConfig, LinkSimulator
 __all__ = [
     "run_point",
     "link_ber_point",
-    "session_round",
     "network_round",
     "train_zoo_entry",
     "payload_probe",
@@ -241,18 +240,21 @@ def link_ber_point(params: Mapping) -> dict:
     }
 
 
-def session_round(params: Mapping) -> dict:
-    """One :class:`~repro.core.session.NetworkSession` sounding round.
+def network_round(params: Mapping) -> dict:
+    """One STA-round of a :class:`~repro.core.network.NetworkCampaign`.
 
     The payload carries only what the round touches (a few samples'
     worth of arrays plus, for DNN rounds, the model) — never the whole
-    dataset, so parallel sessions don't pickle gigabytes per round.
+    dataset, so parallel campaigns don't pickle gigabytes per round.
 
     ``params``: ``channels`` ``(k, users, S, Nr, Nt)``, a
     ``link_config``, and ``scheme`` — either ``{"kind": "dot11",
     "bits": ..., "bf_true": (k, users, S, Nt)}`` or ``{"kind":
     "model", "label": ..., "bits": ..., "model": ..., "quantizer":
-    ..., "x": model-input rows}``.
+    ..., "x": model-input rows}``.  The coordinator pins the round's
+    mobility/aging-degraded operating SNR into ``link_config``; it is
+    echoed back so the campaign manifest records the environment each
+    BER was measured under.
     """
     channels = params["channels"]
     scheme = params["scheme"]
@@ -276,8 +278,9 @@ def session_round(params: Mapping) -> dict:
         bf = Dot11Feedback().quantize_reconstruct(scheme["bf_true"])
         label = "802.11"
     else:
-        raise ConfigurationError(f"unknown session scheme {scheme['kind']!r}")
-    link = LinkSimulator(params["link_config"])
+        raise ConfigurationError(f"unknown round scheme {scheme['kind']!r}")
+    link_config = params["link_config"]
+    link = LinkSimulator(link_config)
     ber = link.measure_ber(channels, bf).ber
     metrics = link.measure_metrics(channels, bf)
     return {
@@ -285,18 +288,5 @@ def session_round(params: Mapping) -> dict:
         "feedback_bits": int(scheme["bits"]),
         "ber": float(ber),
         "mean_sinr_db": float(metrics.mean_sinr_db),
+        "effective_snr_db": float(link_config.snr_db),
     }
-
-
-def network_round(params: Mapping) -> dict:
-    """One STA-round of a :class:`~repro.core.network.NetworkCampaign`.
-
-    The same pure measurement as :func:`session_round`; the campaign
-    coordinator additionally pins the round's mobility/aging-degraded
-    operating SNR into ``link_config``, which is echoed back so the
-    campaign manifest records the environment each BER was measured
-    under.
-    """
-    measured = session_round(params)
-    measured["effective_snr_db"] = float(params["link_config"].snr_db)
-    return measured

@@ -8,11 +8,15 @@ from dataclasses import asdict
 import pytest
 
 from repro.config import SMOKE
+from repro.core.adaptive import AdaptiveCompressionController, QosProfile
 from repro.core.network import (
     NetworkCampaign,
     campaign_round_spec,
     run_campaign,
 )
+from repro.core.zoo import NetworkConfiguration
+from repro.core.zoo_builder import train_zoo
+from repro.datasets import dataset_spec
 from repro.errors import ConfigurationError
 from repro.perf import profile_summary, reset_profiles
 from repro.runtime import (
@@ -217,6 +221,54 @@ class TestHeterogeneity:
         for row in campaign_runs["cold_serial"].stas:
             assert [r["round"] for r in row["rounds"]] == list(range(N_ROUNDS))
 
+    def test_rounds_replay_through_a_fresh_controller(self, campaign_runs):
+        # The Fig. 1 online loop: each round deploys the controller's
+        # current rung, then its measured BER drives the next action.
+        # Replaying the recorded BERs through a fresh controller must
+        # reproduce the manifest's schemes, bits and actions exactly.
+        spec = campaign_runs["spec"]
+        ladder = train_zoo(
+            NetworkCampaign(spec)._training_grid(),
+            store=campaign_runs["store"],
+        )
+        assert ladder.n_trained == 0
+        zoo = ladder.zoo()
+        replayed = 0
+        for sta, row in zip(spec.stas, campaign_runs["cold_serial"].stas):
+            if row["mode"] != "splitbeam":
+                continue
+            catalog = dataset_spec(sta["dataset"]["id"])
+            entries = zoo.candidates(
+                NetworkConfiguration(
+                    n_tx=catalog.n_tx,
+                    n_rx=catalog.n_rx,
+                    bandwidth_mhz=catalog.bandwidth_mhz,
+                )
+            )
+            assert len(entries) == len(sta["scheme"]["compressions"])
+            (selected,) = [
+                entry
+                for entry in entries
+                if entry.model.label() == row["selection"]["selected"]
+            ]
+            controller = AdaptiveCompressionController(
+                entries, QosProfile(**sta["qos"]), initial=selected
+            )
+            actions = []
+            for record in row["rounds"]:
+                assert record["scheme"] == controller.current.model.label()
+                assert (
+                    record["feedback_bits"]
+                    == controller.current.feedback_bits
+                )
+                controller.observe(record["ber"])
+                actions.append(controller.history[-1][1])
+            assert actions == [record["action"] for record in row["rounds"]]
+            replayed += 1
+        assert replayed == campaign_runs["cold_serial"].summary["modes"][
+            "splitbeam"
+        ]
+
 
 class TestAggregation:
     def test_round_rows_sum_sta_feedback_bits(self, campaign_runs):
@@ -370,6 +422,10 @@ class TestSpecValidation:
     def test_empty_ladder_rejected(self):
         with pytest.raises(ConfigurationError, match="compression"):
             sta_profile("a", "D1", compressions=())
+
+    def test_zero_samples_per_round_rejected(self):
+        with pytest.raises(ConfigurationError, match="samples_per_round"):
+            sta_profile("a", "D1", samples_per_round=0)
 
     def test_no_stas_rejected(self):
         with pytest.raises(ConfigurationError):

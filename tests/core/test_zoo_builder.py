@@ -15,7 +15,6 @@ import pytest
 
 from repro.config import SMOKE
 from repro.core.zoo_builder import (
-    ZooBuilder,
     checkpoint_spec,
     plan_training_grid,
     train_zoo,
@@ -261,18 +260,6 @@ class TestZooBuild:
         # Different seeds, different weights.
         rows = {row["label"]: row for row in result.entries}
         assert rows["seed 0"]["state_sha256"] != rows["seed 1"]["state_sha256"]
-
-    def test_zoo_drives_a_network_session(self, cold_result, smoke_dataset_2x2):
-        from repro.core.session import NetworkSession
-
-        report = NetworkSession(
-            smoke_dataset_2x2,
-            zoo=cold_result.zoo(),
-            samples_per_round=4,
-            seed=2,
-        ).run(2)
-        assert report.n_rounds == 2
-        assert all(r.scheme != "802.11" for r in report.rounds)
 
     def test_train_zoo_accepts_preset_names(self, tmp_path):
         with pytest.raises(ConfigurationError):

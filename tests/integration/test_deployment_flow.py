@@ -3,21 +3,25 @@
 Offline: train a ladder, measure it, publish a zoo, persist it to disk.
 Online: reload the zoo (a different process in reality), let the QoS
 selector pick a model for the announced NDP configuration, and run a
-network session with the adaptive controller — asserting the pieces
-agree with each other (same bits, same models, consistent costs).
+one-STA network campaign with the adaptive controller — asserting the
+pieces agree with each other (same bits, same models, consistent costs).
 """
 
 from __future__ import annotations
+
+import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.config import SMOKE
 from repro.core.adaptive import QosProfile, select_model
 from repro.core.costs import StaCostModel
-from repro.core.session import NetworkSession
+from repro.core.network import NetworkCampaign, run_campaign
 from repro.core.training import train_splitbeam
 from repro.core.zoo import ModelZoo, NetworkConfiguration
-from repro.phy.link import LinkConfig
+from repro.core.zoo_builder import train_zoo
+from repro.runtime import CheckpointStore, NetworkCampaignSpec, sta_profile
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +29,48 @@ def deployment(smoke_dataset_2x2, tmp_path_factory):
     """Offline phase: ladder -> zoo -> disk -> reload."""
     dataset = smoke_dataset_2x2
     zoo = ModelZoo()
-    trained = {}
     for k in (1 / 8, 1 / 4):
-        model = train_splitbeam(dataset, compression=k, fidelity=SMOKE, seed=0)
-        entry = zoo.register_trained(model)
-        trained[entry.model.bottleneck_dim] = model
+        zoo.register_trained(
+            train_splitbeam(dataset, compression=k, fidelity=SMOKE, seed=0)
+        )
     directory = str(tmp_path_factory.mktemp("zoo"))
     zoo.save(directory)
-    return dataset, ModelZoo.load(directory), trained
+    return dataset, ModelZoo.load(directory)
+
+
+@pytest.fixture(scope="module")
+def one_sta_campaign(tmp_path_factory):
+    """Online phase: a one-STA campaign, cold and then warm from a store.
+
+    The warm run trains nothing — its ladder is the zoo reloaded from
+    the checkpoint store, as an STA would receive it from the AP.
+    """
+    spec = NetworkCampaignSpec(
+        name="deployment-flow",
+        title="One STA deploying a reloaded SplitBeam ladder",
+        fidelity=asdict(SMOKE),
+        stas=(
+            sta_profile(
+                "sta0",
+                "D1",
+                compressions=(1 / 8, 1 / 4),
+                max_ber=0.5,
+                samples_per_round=4,
+                seed=9,
+            ),
+        ),
+        n_rounds=2,
+        link={"snr_db": 20.0},
+    )
+    store = CheckpointStore(tmp_path_factory.mktemp("store"))
+    cold = run_campaign(spec, store=store, n_workers=1)
+    warm = run_campaign(spec, store=store, n_workers=1)
+    return spec, store, cold, warm
 
 
 class TestDeploymentFlow:
     def test_reloaded_zoo_serves_ndp_lookup(self, deployment):
-        dataset, zoo, _ = deployment
+        dataset, zoo = deployment
         config = NetworkConfiguration(
             n_tx=dataset.spec.n_tx,
             n_rx=dataset.spec.n_rx,
@@ -48,7 +81,7 @@ class TestDeploymentFlow:
         assert len(zoo.candidates(config)) == 2
 
     def test_selector_and_controller_agree_on_candidates(self, deployment):
-        dataset, zoo, _ = deployment
+        dataset, zoo = deployment
         config = NetworkConfiguration(
             n_tx=dataset.spec.n_tx,
             n_rx=dataset.spec.n_rx,
@@ -63,28 +96,25 @@ class TestDeploymentFlow:
             e.compression for e in zoo.candidates(config)
         )
 
-    def test_session_runs_with_reloaded_models(self, deployment):
-        dataset, zoo, trained = deployment
-        # Reloaded zoo entries reference *new* model objects; the session
-        # needs the matching trained wrappers keyed by bottleneck width.
-        session = NetworkSession(
-            dataset,
-            zoo=zoo,
-            trained_models=trained,
-            qos=QosProfile(max_ber=0.2),
-            link_config=LinkConfig(snr_db=20.0),
-            samples_per_round=4,
-            seed=9,
-        )
-        report = session.run(2)
-        assert report.n_rounds == 2
-        labels = {e.model.label() for e in zoo.candidates(session.config)}
-        assert all(r.scheme in labels for r in report.rounds)
-        # The session's reported feedback bits match the zoo's entries.
+    def test_campaign_runs_with_reloaded_zoo(self, one_sta_campaign):
+        spec, store, cold, warm = one_sta_campaign
+        assert cold.zoo_trained == 2
+        assert warm.zoo_trained == 0
+        assert warm.zoo_cached == 2
+        ladder = train_zoo(NetworkCampaign(spec)._training_grid(), store=store)
+        assert ladder.n_trained == 0
         bits_by_label = {
-            e.model.label(): e.feedback_bits
-            for e in zoo.candidates(session.config)
+            entry.model.label(): entry.feedback_bits
+            for entry in map(ladder.entry, ladder.labels())
         }
-        assert all(
-            r.feedback_bits == bits_by_label[r.scheme] for r in report.rounds
+        row = warm.sta("sta0")
+        assert row["mode"] == "splitbeam"
+        assert len(row["rounds"]) == 2
+        # Every round deploys a ladder rung and reports that rung's bits.
+        for record in row["rounds"]:
+            assert record["scheme"] in bits_by_label
+            assert record["feedback_bits"] == bits_by_label[record["scheme"]]
+        # Reloaded models reproduce the freshly trained ones exactly.
+        assert json.dumps(warm.to_dict(), sort_keys=True) == json.dumps(
+            cold.to_dict(), sort_keys=True
         )
