@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.perf.profile import profiled
 from repro.phy.coding import bcc_rate_half
 from repro.phy.interleaver import BlockInterleaver
-from repro.phy.metrics import LinkMetrics, compute_link_metrics
+from repro.phy.metrics import LinkMetrics, compute_link_metrics, sinr_db
 from repro.phy.modulation import QamModem
 from repro.phy.noise import snr_db_to_linear
 from repro.phy.precoding import zero_forcing
@@ -96,11 +96,17 @@ class LinkConfig:
 
 @dataclass
 class BerResult:
-    """Aggregated BER measurement."""
+    """Aggregated BER measurement.
+
+    ``mean_sinr_db`` is the batch's mean post-combining SINR, averaged
+    exactly as :meth:`LinkSimulator.measure_metrics` does; NaN where it
+    is not measured (the reference path, an empty batch).
+    """
 
     bit_errors: int
     total_bits: int
     per_user_ber: np.ndarray
+    mean_sinr_db: float = float("nan")
 
     @property
     def ber(self) -> float:
@@ -161,7 +167,12 @@ class LinkSimulator:
             return BerResult(0, 0, np.zeros(n_users))
         gains, noise_power = self._batched_sample_gains(channels, bf_estimates)
         errors, totals = self._transmit_and_count(gains, noise_power, rng)
-        return self._aggregate(errors, totals)
+        result = self._aggregate(errors, totals)
+        per_sample_db = [
+            np.mean(sinr_db(gains[j], float(noise_power[j]))) for j in range(n_samples)
+        ]
+        result.mean_sinr_db = float(np.mean(per_sample_db))
+        return result
 
     def measure_ber_reference(
         self,

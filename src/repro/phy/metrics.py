@@ -25,6 +25,7 @@ from repro.errors import ShapeError
 __all__ = [
     "LinkMetrics",
     "sinr_per_user",
+    "sinr_db",
     "leakage_ratio",
     "sum_rate_bps_per_hz",
     "evm_rms",
@@ -53,6 +54,12 @@ def sinr_per_user(gains: np.ndarray, noise_power: float) -> np.ndarray:
     signal = np.diagonal(power, axis1=1, axis2=2)  # (S, users)
     interference = power.sum(axis=2) - signal
     return signal / np.maximum(interference + noise_power, 1e-30)
+
+
+def sinr_db(gains: np.ndarray, noise_power: float) -> np.ndarray:
+    """:func:`sinr_per_user` in dB, floored at -300 dB."""
+    sinr = sinr_per_user(gains, noise_power)
+    return 10.0 * np.log10(np.maximum(sinr, 1e-30))
 
 
 def leakage_ratio(gains: np.ndarray) -> float:
@@ -118,11 +125,10 @@ class LinkMetrics:
 
 def compute_link_metrics(gains: np.ndarray, noise_power: float) -> LinkMetrics:
     """Bundle the SINR/leakage/sum-rate metrics for one gain tensor."""
-    sinr = sinr_per_user(gains, noise_power)
-    sinr_db = 10.0 * np.log10(np.maximum(sinr, 1e-30))
+    per_user_db = sinr_db(gains, noise_power)
     return LinkMetrics(
-        mean_sinr_db=float(np.mean(sinr_db)),
-        min_sinr_db=float(np.min(sinr_db)),
+        mean_sinr_db=float(np.mean(per_user_db)),
+        min_sinr_db=float(np.min(per_user_db)),
         leakage=leakage_ratio(gains),
         sum_rate_bps_per_hz=sum_rate_bps_per_hz(gains, noise_power),
     )

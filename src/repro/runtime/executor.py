@@ -2,9 +2,10 @@
 
 A :class:`Task` names a *pure* function (an importable ``"module:name"``
 string, or a picklable callable) and the parameters it receives as a
-single mapping.  Because tasks are pure and fully seeded, the result of
-:func:`run_tasks` is bit-identical whatever the worker count — the pool
-only changes wall time, never values.  The same purity powers the
+single mapping.  Because tasks are pure and fully seeded, and BLAS runs
+one thread wide in every process, the result of :func:`run_tasks` is
+bit-identical whatever the worker count or host — the pool only changes
+wall time, never values.  The same purity powers the
 fault-tolerance contract: a failed attempt can always be retried (and a
 crashed worker's chunk replayed) with byte-identical results, so chaos
 costs retries, never bytes.
@@ -71,6 +72,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs.trace import current_tracer, span_id
 from repro.perf.profile import merge_profiles, profile_snapshot
 from repro.runtime import knobs
+from repro.runtime.blas import pin_blas_thread, single_blas_thread
 from repro.runtime.faults import FaultPlan, InjectedFaultError, active_plan
 from repro.runtime.payloads import PayloadStore, collect_refs, load_payload, resolve_refs
 
@@ -396,7 +398,9 @@ def _topological(tasks: Sequence[Task]) -> list[Task]:
 def _make_pool(n_workers: int) -> ProcessPoolExecutor:
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     context = multiprocessing.get_context(method)
-    return ProcessPoolExecutor(max_workers=n_workers, mp_context=context)
+    return ProcessPoolExecutor(
+        max_workers=n_workers, mp_context=context, initializer=pin_blas_thread
+    )
 
 
 #: Messages per worker a packed wave may use.  1 would minimize IPC but
@@ -918,6 +922,12 @@ def run_tasks(
     ``health.failed``, skips its dependents (``health.skipped``), and
     returns the results of every task that did complete — the campaign
     layer uses this so one broken STA chain cannot kill the other N-1.
+
+    BLAS runs one thread wide for the whole call, in the coordinator
+    (tasks, ``resolve`` hooks, ``on_result``) and in every pool worker,
+    so results do not depend on the host's CPU count and workers do not
+    oversubscribe it; the caller's width is restored on return (see
+    :mod:`repro.runtime.blas`).
     """
     tasks = list(tasks)
     if not tasks:
@@ -934,6 +944,7 @@ def run_tasks(
         collect_errors=collect_errors,
     )
     try:
-        return execution.execute(ordered)
+        with single_blas_thread():
+            return execution.execute(ordered)
     finally:
         execution.close()

@@ -280,13 +280,11 @@ def network_round(params: Mapping) -> dict:
     else:
         raise ConfigurationError(f"unknown round scheme {scheme['kind']!r}")
     link_config = params["link_config"]
-    link = LinkSimulator(link_config)
-    ber = link.measure_ber(channels, bf).ber
-    metrics = link.measure_metrics(channels, bf)
+    measured = LinkSimulator(link_config).measure_ber(channels, bf)
     return {
         "scheme": label,
         "feedback_bits": int(scheme["bits"]),
-        "ber": float(ber),
-        "mean_sinr_db": float(metrics.mean_sinr_db),
+        "ber": float(measured.ber),
+        "mean_sinr_db": measured.mean_sinr_db,
         "effective_snr_db": float(link_config.snr_db),
     }

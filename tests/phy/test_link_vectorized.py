@@ -91,6 +91,7 @@ class TestMeasureBerEquivalence:
         assert isinstance(result, BerResult)
         assert result.total_bits == 0
         assert result.ber == 0.0
+        assert np.isnan(result.mean_sinr_db)
 
     def test_metrics_match_reference_gains(self, rng):
         from repro.phy.metrics import compute_link_metrics
@@ -109,6 +110,9 @@ class TestMeasureBerEquivalence:
             float(np.mean([m.sum_rate_bps_per_hz for m in per_sample])),
             rel=1e-9,
         )
+        # measure_ber reports the same mean SINR from its own gains, bit
+        # for bit (the campaign round reads it instead of measure_metrics).
+        assert simulator.measure_ber(channels, bf).mean_sinr_db == batched.mean_sinr_db
 
 
 class TestFastKernels:
