@@ -15,6 +15,9 @@ Execution reuses the whole ``repro.runtime`` stack:
 - SplitBeam ladders build through :func:`~repro.core.zoo_builder.
   train_zoo` (one merged :class:`TrainingGrid`, deduplicated across
   STAs, warm-loaded from a :class:`CheckpointStore`);
+- each CSI dataset is built once per campaign by a dataset node
+  (:mod:`repro.runtime.dataset_nodes`): the rounds adopt what the zoo
+  build's nodes built and add nodes only for recipes still missing;
 - every STA-round is a pure seeded :func:`~repro.runtime.tasks.
   network_round` task.  A SplitBeam STA's rounds form a feedback chain
   (round *r* plans only after round *r-1*'s BER is observed, via
@@ -55,7 +58,7 @@ from repro.core.costs import StaCostModel
 from repro.core.split import BottleneckQuantizer
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.core.zoo_builder import train_zoo
-from repro.datasets import CsiDataset, build_dataset, dataset_spec
+from repro.datasets import CsiDataset, dataset_spec
 from repro.errors import ConfigurationError
 from repro.obs import trace as trace_mod
 from repro.obs.export import write_trace
@@ -64,6 +67,7 @@ from repro.phy.mcs import data_rate_bps, select_mcs
 from repro.runtime import faults as faults_mod
 from repro.runtime.cache import ResultCache
 from repro.runtime.checkpoints import CheckpointStore
+from repro.runtime.dataset_nodes import DatasetNodes
 from repro.runtime.executor import (
     RetryPolicy,
     RunHealth,
@@ -73,12 +77,7 @@ from repro.runtime.executor import (
 )
 from repro.runtime.hashing import code_version, task_key
 from repro.runtime.payloads import PayloadStore
-from repro.runtime.spec import (
-    NetworkCampaignSpec,
-    TrainingGrid,
-    fidelity_from_dict,
-    zoo_entry,
-)
+from repro.runtime.spec import NetworkCampaignSpec, TrainingGrid, zoo_entry
 from repro.sounding.aging import stale_sinr_db
 from repro.sounding.campaign import SoundingCampaign, combine_reports
 from repro.standard.feedback import Dot11FeedbackConfig, bmr_bits
@@ -185,31 +184,6 @@ def _ladder_label(dataset: dict, scheme: dict, compression: float) -> str:
     )
 
 
-class _DatasetPool:
-    """Lazily built, shared CSI datasets keyed by their build recipe."""
-
-    def __init__(self, fidelity: Fidelity) -> None:
-        self.fidelity = fidelity
-        self._built: dict = {}
-
-    def provider(self, mapping: dict):
-        """A zero-argument builder for one (id, seed, reset) recipe."""
-        key = tuple(sorted(mapping.items()))
-        recipe = dict(mapping)
-
-        def build():
-            if key not in self._built:
-                self._built[key] = build_dataset(
-                    dataset_spec(recipe["id"]),
-                    fidelity=self.fidelity,
-                    reset_interval=recipe["reset_interval"],
-                    seed=recipe["seed"],
-                )
-            return self._built[key]
-
-        return build
-
-
 def _dot11_round_scheme(dataset: CsiDataset, indices: np.ndarray) -> dict:
     """The 802.11 payload for one round task.
 
@@ -274,19 +248,19 @@ class _StaState:
     chained STA's :meth:`observe` calls are forced into round order by
     the task dependencies, which keeps its controller trajectory exact.
 
-    ``dataset_provider`` builds (or returns the shared, already-built)
-    CSI dataset lazily: only rounds that actually execute touch CSI
-    tensors, so a fully warm replay never samples a channel.  Static
-    facts (antenna counts, bandwidth, subcarriers, group size) come
-    from the Table I catalog entry instead.
+    The STA's CSI dataset comes from the run's dataset nodes, and only
+    rounds that actually execute read it, so a fully warm replay never
+    samples a channel.  Static facts (antenna counts, bandwidth,
+    subcarriers, group size) come from the Table I catalog entry
+    instead.
     """
 
     def __init__(
-        self, profile: dict, catalog, dataset_provider, base_link: LinkConfig
+        self, profile: dict, catalog, nodes: DatasetNodes, base_link: LinkConfig
     ) -> None:
         self.profile = profile
         self.catalog = catalog
-        self._dataset = dataset_provider
+        self.nodes = nodes
         self.base_link = base_link
         self.config = NetworkConfiguration(
             n_tx=catalog.n_tx,
@@ -357,6 +331,9 @@ class _StaState:
         else:
             self.controller.observe(measured["ber"])
             self.actions[round_index] = self.controller.history[-1][1]
+
+    def _dataset(self) -> CsiDataset:
+        return self.nodes.get(self.profile["dataset"])
 
     def round_indices(self, round_index: int) -> np.ndarray:
         """The round's CSI draw — a pure function of (profile, round)."""
@@ -666,11 +643,6 @@ class NetworkCampaign:
         spec = self.spec
         version = code_version()
         health = RunHealth()
-        # Datasets are shared and lazy: training tasks build their own
-        # (per-process memoized) copies, round resolves pull from the
-        # pool only when a round actually executes, and a fully warm
-        # replay therefore never samples a channel.
-        pool = _DatasetPool(fidelity_from_dict(spec.fidelity))
         grid = self._training_grid()
         build = (
             train_zoo(
@@ -684,14 +656,17 @@ class NetworkCampaign:
             else None
         )
 
+        # One dataset node per recipe and run: the rounds adopt what the
+        # zoo build's nodes built and plan nodes only for recipes a
+        # pending round still needs, so a warm replay builds none.
+        nodes = DatasetNodes(
+            spec.fidelity, built=None if build is None else build._datasets
+        )
         base_link = LinkConfig(**dict(spec.link))
         states: "list[_StaState]" = []
         for sta in spec.stas:
             state = _StaState(
-                sta,
-                dataset_spec(sta["dataset"]["id"]),
-                pool.provider(sta["dataset"]),
-                base_link,
+                sta, dataset_spec(sta["dataset"]["id"]), nodes, base_link
             )
             scheme = sta["scheme"]
             if scheme["kind"] == "splitbeam":
@@ -717,20 +692,21 @@ class NetworkCampaign:
         def persist(task_id: str, result) -> None:
             # Store each round the moment it completes, so an
             # interrupted campaign resumes from every finished round.
-            if self.cache is not None:
-                state, round_index = by_task_id[task_id]
-                self.cache.put(
-                    state.keys[round_index],
-                    campaign_round_spec(spec, state.profile, round_index),
-                    result,
-                )
+            if nodes.absorb(task_id, result) or self.cache is None:
+                return
+            state, round_index = by_task_id[task_id]
+            self.cache.put(
+                state.keys[round_index],
+                campaign_round_spec(spec, state.profile, round_index),
+                result,
+            )
 
         with payloads:
-            # collect_errors: a round that exhausts its retries fails
-            # only its own STA chain (graceful degradation), never the
-            # other N-1 STAs.
+            # collect_errors: a round (or dataset node) that exhausts
+            # its retries fails only the STAs that depend on it
+            # (graceful degradation), never the others.
             executed = run_tasks(
-                tasks,
+                nodes.tasks + tasks,
                 n_workers=self.n_workers,
                 on_result=persist,
                 payloads=payloads,
@@ -756,11 +732,13 @@ class NetworkCampaign:
                     if task_id in executed:
                         state.observe(round_index, executed[task_id])
 
+        # Dataset nodes are neither rounds nor cached: count rounds only.
+        n_executed = sum(1 for task_id in executed if task_id in by_task_id)
         with tracer.span("assemble", "engine") if tracer else _null():
             return self._assemble(
                 states,
                 n_cached=n_cached,
-                n_executed=len(executed),
+                n_executed=n_executed,
                 build=build,
                 version=version,
                 wall_s=time.perf_counter() - start,
@@ -789,7 +767,8 @@ class NetworkCampaign:
         observe the previous round before planning the next.  An
         802.11 STA has no cross-round coupling: every cached round is a
         hit wherever it falls, and only the misses become (independent)
-        tasks.
+        tasks.  Every pending round also depends on its STA's dataset
+        node while the run still has to build that recipe.
         """
         spec = self.spec
         tasks: "list[Task]" = []
@@ -853,7 +832,8 @@ class NetworkCampaign:
                             (f"{state.name}/round-{round_index - 1:04d}",)
                             if needs_dep
                             else ()
-                        ),
+                        )
+                        + state.nodes.need(state.profile["dataset"]),
                         resolve=self._make_resolve(
                             state, round_index, payloads
                         ),

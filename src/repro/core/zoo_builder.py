@@ -54,6 +54,7 @@ from repro.obs import trace as trace_mod
 from repro.obs.export import write_trace
 from repro.runtime import faults as faults_mod
 from repro.runtime.checkpoints import CHECKPOINT_KIND, CheckpointStore
+from repro.runtime.dataset_nodes import DatasetNodes
 from repro.runtime.executor import (
     RetryPolicy,
     RunHealth,
@@ -162,9 +163,11 @@ def plan_training_grid(
     """Expand a training grid into keyed, shard-labelled executor tasks.
 
     With a payload store, the spec sub-mappings every entry repeats
-    (the grid fidelity, the shared link settings, each dataset recipe)
-    are interned once and referenced from the task parameters; keys and
-    the recorded :attr:`PlannedTraining.spec` always use the raw spec.
+    (the grid fidelity, the shared link settings) are interned once and
+    referenced from the task parameters; keys and the recorded
+    :attr:`PlannedTraining.spec` always use the raw spec.  The dataset
+    recipe stays inline: the builder swaps it for the dataset its node
+    built (see :mod:`repro.runtime.dataset_nodes`).
     """
     specs = [_resolve_entry(spec) for spec in grid.task_specs()]
     shards = shard_labels(specs, n_workers)
@@ -173,11 +176,7 @@ def plan_training_grid(
         key = task_key(checkpoint_spec(spec), version, kind=CHECKPOINT_KIND)
         params = spec
         if payloads is not None:
-            params = {
-                **spec,
-                "dataset": payloads.intern(spec["dataset"]),
-                "fidelity": payloads.intern(spec["fidelity"]),
-            }
+            params = {**spec, "fidelity": payloads.intern(spec["fidelity"])}
             if "link" in spec:
                 params["link"] = payloads.intern(spec["link"])
         planned.append(
@@ -223,6 +222,9 @@ class ZooBuildResult:
     #: Telemetry, like ``wall_s`` — never part of :meth:`to_dict`.
     trace_dir: "str | None" = None
     _zoo_entries: "dict[str, ZooEntry]" = field(default_factory=dict, repr=False)
+    #: The datasets this build's nodes built, by node id — a campaign
+    #: hands them to its rounds instead of building them again.
+    _datasets: dict = field(default_factory=dict, repr=False)
 
     def entry(self, label: str) -> ZooEntry:
         """The :class:`ZooEntry` built for one grid label."""
@@ -413,8 +415,18 @@ class ZooBuilder:
                     to_run.append(entry)
 
         by_task_id = {entry.task.task_id: entry for entry in to_run}
+        # Pending trainings depend on one dataset node per recipe; a
+        # pool run ships each dataset to each worker once.
+        nodes = DatasetNodes(
+            grid.fidelity, payloads=payloads if self.n_workers > 1 else None
+        )
+        trainings = [
+            nodes.consumer(entry.task, ("dataset",)) for entry in to_run
+        ]
 
         def persist(task_id: str, result) -> None:
+            if nodes.absorb(task_id, result):
+                return
             # Checkpoint each model the moment training finishes, so an
             # interrupted build resumes from every completed entry.
             # Digest once here; _assemble and the store both reuse it.
@@ -436,7 +448,7 @@ class ZooBuilder:
 
         with payloads:
             executed = run_tasks(
-                [entry.task for entry in to_run],
+                nodes.tasks + trainings,
                 n_workers=self.n_workers,
                 on_result=persist,
                 payloads=payloads,
@@ -456,6 +468,7 @@ class ZooBuilder:
             return self._assemble(
                 grid, planned, results,
                 executed_indices=executed_indices,
+                datasets=nodes.built,
                 version=version,
                 wall_s=time.perf_counter() - start,
                 health={
@@ -470,7 +483,8 @@ class ZooBuilder:
             )
 
     def _assemble(
-        self, grid, planned, results, executed_indices, version, wall_s, health
+        self, grid, planned, results, executed_indices, datasets, version,
+        wall_s, health,
     ) -> ZooBuildResult:
         """Reconstruct models in the coordinator, in grid order."""
         rows: "list[dict]" = []
@@ -528,6 +542,7 @@ class ZooBuilder:
             code_version=version,
             health=health,
             _zoo_entries=zoo_entries,
+            _datasets=datasets,
         )
 
 

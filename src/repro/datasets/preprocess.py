@@ -68,6 +68,12 @@ def moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
     Real and imaginary parts are filtered separately; the window is
     trailing (causal) and truncated at the start of the stream, so the
     output has the same length as the input.
+
+    Full windows are filtered in one pass: sort each sliding window and
+    take ``np.mean`` of its middle element(s), exactly as ``np.median``
+    does per window, so the result is bit-identical; a window holding a
+    NaN yields that NaN.  The truncated head rows keep the per-row
+    median.
     """
     if window < 1:
         raise DatasetError("window must be >= 1")
@@ -76,13 +82,28 @@ def moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
         return csi.copy()
     n = csi.shape[0]
     out = np.empty_like(csi)
-    # Sliding windows over a modest n: direct median per step is fine and
-    # keeps memory bounded.
-    for t in range(n):
-        start = max(0, t - window + 1)
-        block = csi[start : t + 1]
+    for t in range(min(window - 1, n)):
+        block = csi[: t + 1]
         out[t] = np.median(block.real, axis=0) + 1j * np.median(block.imag, axis=0)
+    if n >= window:
+        out[window - 1 :] = _window_median(csi.real, window) + 1j * (
+            _window_median(csi.imag, window)
+        )
     return out
+
+
+def _window_median(x: np.ndarray, window: int) -> np.ndarray:
+    """``np.median`` over every full trailing ``window`` of axis 0."""
+    half = window // 2
+    middle = slice(half - 1, half + 1) if window % 2 == 0 else slice(half, half + 1)
+    part = np.sort(np.lib.stride_tricks.sliding_window_view(x, window, axis=0))
+    # np.mean, as np.median takes it: the sum starts from +0.0, so the
+    # sign of a zero middle (which sort and partition may order either
+    # way) never reaches the result.
+    median = np.mean(part[..., middle], axis=-1)
+    last = part[..., -1]  # NaN sorts last
+    np.copyto(median, last, where=np.isnan(last))
+    return median
 
 
 def preprocess_csi(

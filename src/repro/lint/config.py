@@ -100,8 +100,11 @@ class LintConfig:
     """All repo-specific knobs the rules consult."""
 
     #: Modules whose ``__all__`` functions are the task roots REP-NONDET
-    #: walks the call graph from.
-    task_root_modules: tuple[str, ...] = ("repro.runtime.tasks",)
+    #: walks the call graph from (the dataset node's builder included).
+    task_root_modules: tuple[str, ...] = (
+        "repro.runtime.tasks",
+        "repro.runtime.dataset_nodes",
+    )
 
     #: Explicit extra root functions (fully qualified), mainly for tests.
     task_root_functions: tuple[str, ...] = ()

@@ -6,7 +6,8 @@ kept for two jobs:
 
 - **equivalence**: the test suite asserts the vectorized paths in
   ``repro.standard.givens``, ``repro.standard.cbf``,
-  ``repro.phy.link``, and ``repro.channels.sampler`` reproduce these
+  ``repro.phy.link``, ``repro.channels.sampler`` and
+  ``repro.datasets.preprocess`` reproduce these
   outputs (bit-exactly where the wire format or RNG stream pins the
   result);
 - **speedup tracking**: ``benchmarks/bench_perf_hotpaths.py`` times
@@ -42,7 +43,7 @@ import numpy as np
 from repro.channels.doppler import ShadowingProcess
 from repro.channels.sampler import CsiBatch, CsiSampler
 from repro.channels.tgac import TgacChannel
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, DatasetError, ShapeError
 from repro.phy.noise import awgn
 from repro.standard.cbf import (
     CbfReport,
@@ -63,6 +64,7 @@ __all__ = [
     "reference_encode_cbf",
     "reference_decode_cbf",
     "reference_collect_session",
+    "reference_moving_median",
     "ReferenceConv1d",
     "ReferenceSGD",
     "ReferenceAdam",
@@ -245,6 +247,22 @@ def reference_decode_cbf(
         psi_codes=psi_codes,
         mu_delta_codes=mu_codes,
     )
+
+
+def reference_moving_median(csi: np.ndarray, window: int = 10) -> np.ndarray:
+    """Seed ``moving_median``: one ``np.median`` per output row."""
+    if window < 1:
+        raise DatasetError("window must be >= 1")
+    csi = np.asarray(csi, dtype=np.complex128)
+    if window == 1 or csi.shape[0] == 1:
+        return csi.copy()
+    n = csi.shape[0]
+    out = np.empty_like(csi)
+    for t in range(n):
+        start = max(0, t - window + 1)
+        block = csi[start : t + 1]
+        out[t] = np.median(block.real, axis=0) + 1j * np.median(block.imag, axis=0)
+    return out
 
 
 def reference_collect_session(

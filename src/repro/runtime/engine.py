@@ -27,6 +27,7 @@ from repro.obs import trace as trace_mod
 from repro.obs.export import write_trace
 from repro.runtime import faults as faults_mod
 from repro.runtime.cache import ResultCache
+from repro.runtime.dataset_nodes import DatasetNodes
 from repro.runtime.executor import (
     RetryPolicy,
     RunHealth,
@@ -34,6 +35,7 @@ from repro.runtime.executor import (
     run_tasks,
 )
 from repro.runtime.hashing import code_version
+from repro.runtime.payloads import PayloadStore
 from repro.runtime.planner import plan_scenario
 from repro.runtime.spec import Scenario
 from repro.utils.artifacts import write_json_artifact
@@ -42,6 +44,9 @@ __all__ = ["EngineRun", "ExperimentEngine"]
 
 #: Bump when the result-artifact layout changes incompatibly.
 RESULT_SCHEMA_VERSION = 1
+
+#: The recipe fields of a scenario point that its dataset nodes build.
+POINT_DATASETS = ("dataset", "eval_dataset")
 
 
 @dataclass
@@ -214,22 +219,32 @@ class ExperimentEngine:
                     to_run.append(entry)
 
         by_task_id = {entry.task.task_id: entry for entry in to_run}
+        # Pending points depend on one dataset node per recipe; a pool
+        # run ships each dataset to each worker once, as a payload.
+        payloads = PayloadStore() if self.n_workers > 1 else None
+        nodes = DatasetNodes(scenario.fidelity, payloads=payloads)
+        points = [
+            nodes.consumer(entry.task, POINT_DATASETS) for entry in to_run
+        ]
 
         def persist(task_id: str, result) -> None:
             # Store each point the moment it completes, so an
             # interrupted run resumes from every finished point.
-            if self.cache is not None:
-                entry = by_task_id[task_id]
-                self.cache.put(entry.key, entry.spec, result)
+            if nodes.absorb(task_id, result) or self.cache is None:
+                return
+            entry = by_task_id[task_id]
+            self.cache.put(entry.key, entry.spec, result)
 
-        executed = run_tasks(
-            [entry.task for entry in to_run],
-            n_workers=self.n_workers,
-            on_result=persist,
-            policy=self.policy,
-            faults=plan,
-            health=health,
-        )
+        with payloads if payloads is not None else _null():
+            executed = run_tasks(
+                nodes.tasks + points,
+                n_workers=self.n_workers,
+                on_result=persist,
+                payloads=payloads,
+                policy=self.policy,
+                faults=plan,
+                health=health,
+            )
         if self.cache is not None:
             # Publish the packed index so the next open recovers from a
             # snapshot instead of rescanning every segment tail.

@@ -21,7 +21,7 @@ observations) is never consumed twice.
 
 Sharding: tasks carrying the same ``shard`` label are executed by the
 same worker in plan order, so per-process memoization (e.g. one worker
-building one dataset that several tasks reuse) stays effective.
+training one model that several points reuse) stays effective.
 
 Dispatch economics: within a wave, shard chunks are *packed* into a
 small bounded number of messages (at most 4 per worker, keeping the

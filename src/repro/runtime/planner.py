@@ -5,7 +5,9 @@ Scenario points are independent measurements, so the plan is a flat DAG
 edges are the executor's job for sequential workloads such as network
 campaigns.  The planner's value is the bookkeeping: every point gets a
 stable cache key, and a shard label chosen so workers that memoize
-datasets/models per process see related tasks back to back.
+trained models per process see related tasks back to back.  (Datasets
+are not a planner concern: the engine rewires pending points onto the
+run's dataset nodes, see :mod:`repro.runtime.dataset_nodes`.)
 
 Cache keys hash only the fields that determine the measurement — the
 display ``label`` and the fidelity's cosmetic ``name`` are excluded —
@@ -58,12 +60,14 @@ class PlannedTask:
 def shard_labels(specs, n_workers: int) -> "list[str | None]":
     """Shard by dataset when that still saturates the pool.
 
-    Tasks sharing a dataset profit from landing on one worker (its
-    per-process memo builds the dataset once), but pinning them together
-    is only worth it when there are clearly more dataset groups than
-    workers — otherwise sharding would serialize the scenario.  Any spec
-    carrying a ``{"dataset": {"id", "seed"}}`` mapping works — scenario
-    points and zoo-training entries alike.
+    Datasets are built once per run by their dataset nodes whatever the
+    sharding; what sharding still buys is model locality.  Points that
+    train on one dataset land on one worker, so its per-process model
+    memo trains each scheme once.  Pinning them together is only worth
+    it when there are clearly more dataset groups than workers —
+    otherwise sharding would serialize the scenario.  Any spec carrying
+    a ``{"dataset": {"id", "seed"}}`` mapping works — scenario points
+    and zoo-training entries alike.
     """
     datasets = [
         (spec["dataset"]["id"], spec["dataset"]["seed"]) for spec in specs

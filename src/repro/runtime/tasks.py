@@ -1,11 +1,13 @@
 """Pure task functions executed by the runtime workers.
 
 Every function here takes a single parameter mapping and returns a
-JSON-able (or at least picklable) result, with no reliance on process
-state beyond memoization: datasets and trained models are cached
-per process keyed by their full build recipe, which is safe because
-both are deterministic functions of (spec, fidelity, seed).  A worker
-that rebuilds instead of reusing gets bit-identical objects, so results
+JSON-able (or at least picklable) result.  CSI datasets arrive built:
+each is a dataset node of the run's DAG (:mod:`repro.runtime.
+dataset_nodes`) whose result the consumer's ``resolve`` hook swaps in
+for the recipe.  Trained models are memoized per process, keyed by the
+scheme, the fidelity and the dataset they were trained on, which is
+safe because training is a deterministic function of those: a worker
+that retrains instead of reusing gets bit-identical objects, so results
 never depend on which worker ran what.
 """
 
@@ -28,17 +30,15 @@ __all__ = [
     "clear_memos",
 ]
 
-_DATASETS: dict = {}
 _SCHEMES: dict = {}
 
 
 def clear_memos() -> None:
-    """Drop the per-process dataset/model/payload memos (benchmarks use this)."""
+    """Drop the per-process model/payload memos (benchmarks use this)."""
     from repro.runtime.payloads import clear_payload_cache
 
-    # Read-through memos keyed purely on frozen specs: clearing them
-    # only forces a bit-identical rebuild, never a different result.
-    _DATASETS.clear()  # repro: allow[REP-PURE-TASK]
+    # A read-through memo keyed purely on its inputs: clearing it only
+    # forces a bit-identical retrain, never a different result.
     _SCHEMES.clear()  # repro: allow[REP-PURE-TASK]
     clear_payload_cache()
 
@@ -51,30 +51,34 @@ def _freeze(payload: Mapping) -> tuple:
     return tuple(sorted(payload.items()))
 
 
-def _get_dataset(dataset: Mapping, fidelity: Mapping):
-    key = (_freeze(dataset), _freeze(fidelity))
-    # Pure read-through memo: the key freezes every input, so a miss
-    # rebuilds bit-identical state; clear_memos only forces that rebuild.
-    if key not in _DATASETS:  # repro: allow[REP-PURE-TASK]
-        from repro.datasets import build_dataset, dataset_spec
-
-        _DATASETS[key] = build_dataset(
-            dataset_spec(dataset["id"]),
-            fidelity=_fidelity(fidelity),
-            reset_interval=dataset.get("reset_interval"),
-            seed=dataset["seed"],
+def _same_dataset(a, b) -> bool:
+    """Whether two datasets hold the same samples and splits."""
+    return a is b or (
+        a.spec == b.spec
+        and np.array_equal(a.csi, b.csi)
+        and np.array_equal(a.bf, b.bf)
+        and all(
+            np.array_equal(getattr(a.splits, name), getattr(b.splits, name))
+            for name in ("train", "val", "test")
         )
-    return _DATASETS[key]
+    )
 
 
-def _get_scheme(scheme: Mapping, dataset_spec_map: Mapping, fidelity: Mapping):
-    """Build (or reuse) the feedback scheme a point asks for."""
+def _get_scheme(scheme: Mapping, dataset, fidelity: Mapping):
+    """Build (or reuse) the feedback scheme a point asks for.
+
+    Memoized per (scheme, fidelity) and training dataset.  A point
+    carries its built dataset, not the recipe: within a run every point
+    holds the same object, and across runs (a pool forked after a
+    serial run) an equal dataset still hits.
+    """
     kind = scheme.get("kind")
-    key = (_freeze(scheme), _freeze(dataset_spec_map), _freeze(fidelity))
-    # Pure read-through memo (see _get_dataset): fully-keyed, rebuilds
-    # bit-identically on a miss.
-    if key in _SCHEMES:  # repro: allow[REP-PURE-TASK]
-        return _SCHEMES[key]
+    key = (_freeze(scheme), _freeze(fidelity))
+    # Pure read-through memo: fully keyed (the dataset is matched by
+    # content), rebuilds bit-identically on a miss.
+    for trained_on, built in _SCHEMES.get(key, ()):  # repro: allow[REP-PURE-TASK]
+        if _same_dataset(trained_on, dataset):
+            return built
     if kind == "dot11":
         from repro.baselines import Dot11Feedback
 
@@ -89,7 +93,7 @@ def _get_scheme(scheme: Mapping, dataset_spec_map: Mapping, fidelity: Mapping):
 
         built = SplitBeamFeedback(
             train_splitbeam(
-                _get_dataset(dataset_spec_map, fidelity),
+                dataset,
                 compression=scheme["compression"],
                 fidelity=_fidelity(fidelity),
                 seed=scheme["seed"],
@@ -99,14 +103,14 @@ def _get_scheme(scheme: Mapping, dataset_spec_map: Mapping, fidelity: Mapping):
         from repro.baselines import train_lbscifi
 
         built = train_lbscifi(
-            _get_dataset(dataset_spec_map, fidelity),
+            dataset,
             compression=scheme["compression"],
             fidelity=_fidelity(fidelity),
             seed=scheme["seed"],
         )
     else:
         raise ConfigurationError(f"unknown scheme kind {kind!r}")
-    _SCHEMES[key] = built
+    _SCHEMES.setdefault(key, []).append((dataset, built))
     return built
 
 
@@ -114,17 +118,16 @@ def run_point(params: Mapping) -> dict:
     """Measure one scenario point; the engine's task function.
 
     ``params`` is a scenario point merged with its fidelity (see
-    :meth:`repro.runtime.spec.Scenario.task_specs`).
+    :meth:`repro.runtime.spec.Scenario.task_specs`), its ``dataset``
+    and ``eval_dataset`` recipes swapped for the datasets their nodes
+    built (see :mod:`repro.runtime.dataset_nodes`).
     """
     from repro.core.pipeline import evaluate_scheme
 
     fidelity = params["fidelity"]
-    dataset = _get_dataset(params["dataset"], fidelity)
-    eval_spec = params.get("eval_dataset")
-    eval_dataset = (
-        _get_dataset(eval_spec, fidelity) if eval_spec is not None else None
-    )
-    scheme = _get_scheme(params["scheme"], params["dataset"], fidelity)
+    dataset = params["dataset"]
+    eval_dataset = params.get("eval_dataset")
+    scheme = _get_scheme(params["scheme"], dataset, fidelity)
     target = eval_dataset if eval_dataset is not None else dataset
     ber_samples = params.get("ber_samples")
     indices = target.splits.test
@@ -152,7 +155,8 @@ def train_zoo_entry(params: Mapping) -> dict:
     ``params`` is a training-grid entry merged with its fidelity and
     with the architecture widths already resolved (see
     :meth:`repro.runtime.spec.TrainingGrid.task_specs` and
-    :mod:`repro.core.zoo_builder`).  Returns everything the coordinator
+    :mod:`repro.core.zoo_builder`), its ``dataset`` recipe swapped for
+    the dataset its node built.  Returns everything the coordinator
     needs to reconstruct the trained model without the dataset: the
     state dict, the architecture, the measured test BER, and a history
     summary.  Pure and fully seeded, so results are bit-identical
@@ -162,7 +166,7 @@ def train_zoo_entry(params: Mapping) -> dict:
     from repro.nn.serialize import state_dict
 
     fidelity = params["fidelity"]
-    dataset = _get_dataset(params["dataset"], fidelity)
+    dataset = params["dataset"]
     model_spec = params["model"]
     train_spec = params["train"]
     trained = train_splitbeam(

@@ -536,6 +536,88 @@ class TestChaosCampaign:
         )
 
 
+class TestDatasetNodeChaos:
+    """Chaos inside dataset nodes costs retries, never bytes."""
+
+    def _run(self, campaign_runs, tmp_path, plan, n_workers, store=None):
+        clear_memos()
+        return NetworkCampaign(
+            campaign_runs["spec"],
+            cache=ResultCache(tmp_path / "cache"),
+            store=campaign_runs["store"] if store is None else store,
+            n_workers=n_workers,
+            policy=RetryPolicy(retries=1, backoff_s=0.0),
+            faults=parse_plan(plan),
+        ).run()
+
+    def _clean(self, campaign_runs) -> str:
+        return json.dumps(campaign_runs["cold_serial"].to_dict(), sort_keys=True)
+
+    def test_worker_crash_inside_a_node_is_byte_identical(
+        self, campaign_runs, tmp_path
+    ):
+        # The ladders are checkpointed, so both recipes are round-phase
+        # nodes; the D5 node kills its pool worker once.
+        result = self._run(
+            campaign_runs, tmp_path, "crash,dataset:D5/*,count=1", n_workers=2
+        )
+        assert json.dumps(result.to_dict(), sort_keys=True) == self._clean(
+            campaign_runs
+        )
+        executor = result.health["executor"]
+        assert executor["worker_crashes"] == 1
+        assert executor["pool_rebuilds"] == 1
+        assert executor["injected_faults"] == 1
+        assert executor["failed"] == [] and executor["skipped"] == []
+        assert result.n_executed_rounds == N_STAS * N_ROUNDS
+
+    def test_injected_error_on_zoo_nodes_is_byte_identical(
+        self, campaign_runs, tmp_path
+    ):
+        # A fresh store: the zoo build plans both recipes' nodes, each
+        # fails its first attempt, and the rounds reuse what they built.
+        result = self._run(
+            campaign_runs,
+            tmp_path,
+            "error,dataset:*,count=1",
+            n_workers=1,
+            store=CheckpointStore(tmp_path / "store"),
+        )
+        assert json.dumps(result.to_dict(), sort_keys=True) == self._clean(
+            campaign_runs
+        )
+        zoo = result.health["zoo"]["executor"]
+        assert zoo["task_errors"] == zoo["injected_faults"] == 2
+        assert zoo["retries"] == 2
+        assert result.health["executor"]["task_errors"] == 0
+        assert result.zoo_trained == 3
+
+    def test_failed_node_degrades_only_its_recipes_stas(
+        self, campaign_runs, tmp_path
+    ):
+        result = self._run(
+            campaign_runs, tmp_path, "error,dataset:D5/*,count=99", n_workers=1
+        )
+        d5 = [f"sta{i:03d}" for i in range(N_STAS) if i % 2 == 1]
+        assert result.summary["degraded_stas"] == d5
+        executor = result.health["executor"]
+        assert [row["task"] for row in executor["failed"]] == [
+            "dataset:D5/seed7/resetNone"
+        ]
+        assert executor["skipped"] == sorted(
+            f"{name}/round-{r:04d}" for name in d5 for r in range(N_ROUNDS)
+        )
+        for name in d5:
+            degraded = result.sta(name)["degraded"]
+            assert degraded["skipped_rounds"] == list(range(N_ROUNDS))
+            assert degraded["failed_rounds"] == []
+        clean = campaign_runs["cold_serial"]
+        for i in range(0, N_STAS, 2):
+            name = f"sta{i:03d}"
+            assert result.sta(name) == clean.sta(name)
+        assert result.n_executed_rounds == (N_STAS - len(d5)) * N_ROUNDS
+
+
 class TestGracefulDegradation:
     """A STA whose round exhausts retries degrades alone."""
 

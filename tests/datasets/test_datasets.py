@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SMOKE
 from repro.errors import ConfigurationError, DatasetError
@@ -20,6 +22,30 @@ from repro.datasets.preprocess import (
     normalize_amplitude,
     preprocess_csi,
 )
+from repro.perf.reference import reference_moving_median
+
+#: Stream values for the median property test: a handful of repeated
+#: values (ties), both zeros, and NaN next to ordinary floats.  One NaN
+#: bit pattern only (``np.nan``): SIMD sorts may canonicalize other NaN
+#: payloads, and CSI never holds NaN.
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
+)
+
+
+@st.composite
+def _median_streams(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    lanes = draw(st.integers(min_value=1, max_value=3))
+    values = draw(
+        st.lists(_MEDIAN_VALUES, min_size=2 * n * lanes, max_size=2 * n * lanes)
+    )
+    parts = np.array(values, dtype=np.float64).reshape(2, n, lanes, 1, 1)
+    csi = np.empty((n, lanes, 1, 1), dtype=np.complex128)
+    csi.real = parts[0]
+    csi.imag = parts[1]
+    return csi
 
 
 class TestCatalog:
@@ -117,6 +143,22 @@ class TestMovingMedian:
     def test_invalid_window(self):
         with pytest.raises(DatasetError):
             moving_median(np.ones((3, 1, 1, 1)), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csi=_median_streams(), window=st.integers(min_value=1, max_value=12))
+    def test_matches_the_per_row_reference_bytes(self, csi, window):
+        # Odd and even windows, n < window (all rows truncated), ties,
+        # signed zeros and NaN windows: the same bytes as np.median.
+        got = moving_median(csi, window)
+        want = reference_moving_median(csi, window)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_window_yields_nan(self):
+        csi = np.ones((8, 1, 1, 1), dtype=complex)
+        csi[3] = complex(np.nan, 1.0)
+        out = moving_median(csi, 4)
+        assert np.isnan(out.real[3:7]).all() and not np.isnan(out.real[7]).any()
+        assert not np.isnan(out.imag).any()
 
     def test_pipeline(self, rng):
         csi = rng.standard_normal((12, 2, 8, 1, 2)) + 1j

@@ -53,6 +53,10 @@ N_WORKERS = 4
 N_STAS = 16
 N_ROUNDS = 2
 
+#: Every engine point and campaign STA here uses the D1 preset recipe,
+#: so each cold run has exactly one dataset node.
+D1_NODES = {"dataset:D1/seed7/resetNone"}
+
 
 def _scenario() -> Scenario:
     points = [
@@ -183,8 +187,9 @@ class TestEngineAcceptance:
             f"{index:04d}:{p['label']}"
             for index, p in enumerate(engine_runs["scenario"].points)
         }
-        # (b) a span for every executed task...
-        assert labels == expected and len(tasks) == run.n_executed
+        # (b) a span for every executed task and dataset node...
+        assert labels == expected | D1_NODES
+        assert len(tasks) == run.n_executed + len(D1_NODES)
         # ...recorded by worker processes (lane != coordinator's 0)...
         assert all(event["pid"] != 0 for event in tasks)
         # ...alongside the coordinator's own engine/executor spans.
@@ -208,7 +213,9 @@ class TestEngineAcceptance:
         ) as handle:
             chrome = json.load(handle)
         tasks = _task_events(chrome)
-        assert len(tasks) == engine_runs["serial"].n_executed
+        run = engine_runs["serial"]
+        assert {event["args"]["task"] for event in tasks} >= D1_NODES
+        assert len(tasks) == run.n_executed + len(D1_NODES)
         assert all(event["pid"] == 0 for event in tasks)
 
     def test_report_names_the_critical_path(self, engine_runs):
@@ -309,6 +316,16 @@ class TestCampaignAcceptance:
         assert {e["args"]["task"] for e in round_events} == expected
         assert len(round_events) == traced.n_executed_rounds
         assert all(event["pid"] != 0 for event in round_events)
+        # The zoo build's one D1 node serves the rounds too: one span,
+        # recorded by a worker.
+        node_events = [
+            event
+            for event in tasks
+            if event["args"]["task"].startswith("dataset:")
+        ]
+        assert {e["args"]["task"] for e in node_events} == D1_NODES
+        assert len(node_events) == len(D1_NODES)
+        assert all(event["pid"] != 0 for event in node_events)
         # The embedded zoo build joined the campaign's timeline.
         names = {
             event["name"]
