@@ -45,7 +45,8 @@ Run with ``pytest benchmarks/bench_perf_hotpaths.py --perf`` or
 ``python benchmarks/bench_perf_hotpaths.py`` (tier-1 never runs it; see
 ``docs/perf.md``).  ``python benchmarks/bench_perf_hotpaths.py
 --train-smoke`` runs only the train_step reference/vectorized
-equivalence at smoke scale (the CI training smoke).
+equivalence at smoke scale, at float64 and at float32 (the CI training
+smoke).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from repro.baselines.csinet import ConvSplitNet
 from repro.channels.environment import E1
 from repro.channels.sampler import CsiSampler
 from repro.config import Fidelity
-from repro.core.model import SplitBeamNet, three_layer_widths
+from repro.core.model import MODEL_DTYPE, SplitBeamNet, three_layer_widths
 from repro.core.pipeline import evaluate_scheme
 from repro.datasets import build_dataset, dataset_spec
 from repro.nn.conv import Conv1d
@@ -183,13 +184,16 @@ TRAIN_DATASET = "D1"
 TRAIN_COMPRESSION = 1 / 8
 
 
-def _train_step_stage(bench, report, fidelity, assert_identical=True):
+def _train_step_stage(
+    bench, report, fidelity, assert_identical=True, dtype=MODEL_DTYPE
+):
     """Time the frozen loop trainer vs the fused trainer on one rung.
 
     Both sides train the same ladder rung (same init seed, same data,
-    same schedule); the trained weights are asserted bit-identical —
-    the vectorized trainer replays the reference arithmetic exactly.
-    Returns the (baseline, optimized) results for the comparison row.
+    same schedule, model parameters of ``dtype``); the trained weights
+    are asserted bit-identical — the vectorized trainer replays the
+    reference arithmetic exactly.  Returns the (baseline, optimized)
+    results for the comparison row.
     """
     train_set = build_dataset(
         dataset_spec(TRAIN_DATASET), fidelity=fidelity, seed=7
@@ -205,10 +209,11 @@ def _train_step_stage(bench, report, fidelity, assert_identical=True):
         "widths": [int(w) for w in widths],
         "epochs": config.epochs,
         "n_train": int(x.shape[0]),
+        "dtype": np.dtype(dtype).name,
     }
 
     def fit(trainer_cls):
-        model = SplitBeamNet(widths, rng=3)
+        model = SplitBeamNet(widths, rng=3, dtype=dtype)
         trainer_cls(model, config=config).fit(x, y)
         return model
 
@@ -839,20 +844,24 @@ def train_smoke() -> None:
     """CI smoke: train_step reference-vs-vectorized equivalence at smoke scale.
 
     Runs the :func:`_train_step_stage` workload at the ``smoke``
-    fidelity preset — the bit-identity assertion is the point; the
+    fidelity preset, once per model dtype (float64, and the paper
+    models' float32) — the bit-identity assertion is the point; the
     timings are printed for information only (no JSON is written and
     no speedup is asserted, so a noisy CI box cannot flake).
     """
     from repro.config import fidelity as fidelity_preset
 
     bench = Benchmark(warmup=0, repeats=2)
-    report = PerfReport("train_step smoke (reference vs vectorized)")
-    baseline, optimized = _train_step_stage(
-        bench, report, fidelity_preset("smoke")
-    )
-    report.add_comparison("train_step", baseline, optimized)
-    print(report.render())
-    print("train_step smoke: trained weights bit-identical")
+    for dtype in (np.dtype(np.float64), np.dtype(np.float32)):
+        report = PerfReport(
+            f"train_step smoke at {dtype.name} (reference vs vectorized)"
+        )
+        baseline, optimized = _train_step_stage(
+            bench, report, fidelity_preset("smoke"), dtype=dtype
+        )
+        report.add_comparison("train_step", baseline, optimized)
+        print(report.render())
+        print(f"train_step smoke ({dtype.name}): trained weights bit-identical")
 
 
 def obs_smoke() -> None:

@@ -88,7 +88,9 @@ class LbSciFi(FeedbackScheme):
         n, users = features.shape[:2]
         flat = features.reshape(n * users, -1)
         self.autoencoder.eval()
-        decoded = self.autoencoder.forward(flat)
+        # The autoencoder runs in its own dtype; the angles go back to
+        # float64 once, before the Givens reconstruction.
+        decoded = np.asarray(self.autoencoder.forward(flat), dtype=np.float64)
         recovered = _denormalize(
             decoded.reshape(n, users, -1),
             dataset.n_subcarriers,

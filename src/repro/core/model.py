@@ -12,6 +12,10 @@ The bottleneck activations are transmitted over the air *pre-activation*
 (raw head outputs); the tail applies the nonlinearity first.  This keeps
 the head a single matrix multiply — the property behind the paper's STA
 complexity claim O(K * Nt^2 * Nr^2 * S^2).
+
+The paper's models train and infer in float32 (:data:`MODEL_DTYPE`):
+the bottleneck goes on the air as 16-bit codes, so float64 weights buy
+nothing at the wire while doubling the bytes every training step moves.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ from repro.nn.layers import Identity, LeakyReLU, Linear, ReLU, Sequential, Tanh
 from repro.nn.module import Module
 from repro.utils.rng import as_generator, spawn
 
-__all__ = ["SplitBeamNet", "three_layer_widths"]
+__all__ = ["MODEL_DTYPE", "SplitBeamNet", "three_layer_widths"]
+
+#: Parameter dtype of every SplitBeam (and LB-SciFi) model by default.
+MODEL_DTYPE = np.dtype(np.float32)
 
 _ACTIVATIONS = {
     "relu": ReLU,
@@ -64,6 +71,9 @@ class SplitBeamNet(Module):
         or ``linear``.
     rng:
         Seed/Generator for weight initialization.
+    dtype:
+        Parameter dtype (default :data:`MODEL_DTYPE`, float32); the
+        model computes in it and casts its inputs to it.
     """
 
     def __init__(
@@ -71,6 +81,7 @@ class SplitBeamNet(Module):
         widths: Sequence[int],
         activation: str = "leaky_relu",
         rng: "int | np.random.Generator | None" = 0,
+        dtype: "np.dtype | type" = MODEL_DTYPE,
     ) -> None:
         super().__init__()
         widths = [int(w) for w in widths]
@@ -95,10 +106,14 @@ class SplitBeamNet(Module):
         self.widths = widths
         self.activation_name = activation
         rngs = spawn(as_generator(rng), len(widths) - 1)
-        layers: list[Module] = [Linear(widths[0], widths[1], rng=rngs[0])]
+        layers: list[Module] = [
+            Linear(widths[0], widths[1], rng=rngs[0], dtype=dtype)
+        ]
         for i in range(1, len(widths) - 1):
             layers.append(act_cls())
-            layers.append(Linear(widths[i], widths[i + 1], rng=rngs[i]))
+            layers.append(
+                Linear(widths[i], widths[i + 1], rng=rngs[i], dtype=dtype)
+            )
         self.network = Sequential(layers)
 
     # -- Module interface ------------------------------------------------------

@@ -9,7 +9,9 @@ scheme 802.11 uses for its SNR fields).
 
 ``SplitExecutor`` glues the pieces together and, with quantization
 disabled, is bit-exact with running the unsplit model — a property the
-test suite asserts.
+test suite asserts.  Head and tail each cast their input to the model's
+dtype once, at entry, so both halves compute in the same dtype the
+unsplit model does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, FeedbackError
 from repro.core.model import SplitBeamNet
-from repro.nn.module import Module
+from repro.nn.module import Module, as_float
 
 __all__ = [
     "BottleneckQuantizer",
@@ -126,16 +128,17 @@ class QuantizationNoise(Module):
         self._quantizer = BottleneckQuantizer(self.bits)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = as_float(inputs)
         if not self.training:
             return inputs
         if inputs.ndim == 1:
             inputs = inputs[None, :]
-        return self._quantizer.dequantize(self._quantizer.quantize(inputs))
+        restored = self._quantizer.dequantize(self._quantizer.quantize(inputs))
+        return restored.astype(inputs.dtype, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Straight-through estimator: the noise is treated as constant."""
-        return np.asarray(grad_output, dtype=np.float64)
+        return as_float(grad_output)
 
 
 class HeadModel:
@@ -147,12 +150,13 @@ class HeadModel:
         self.network = model.head_network()
         self.network.eval()
         self.quantizer = quantizer
+        self.dtype = model.dtype
         self.input_dim = model.input_dim
         self.bottleneck_dim = model.bottleneck_dim
 
     def compress(self, inputs: np.ndarray) -> "CompressedFeedback | np.ndarray":
         """Produce ``V'``: quantized codes, or raw floats if no quantizer."""
-        bottleneck = self.network.forward(np.asarray(inputs, dtype=np.float64))
+        bottleneck = self.network.forward(np.asarray(inputs, dtype=self.dtype))
         if self.quantizer is None:
             return bottleneck
         return self.quantizer.quantize(bottleneck)
@@ -167,6 +171,7 @@ class TailModel:
         self.network = model.tail_network()
         self.network.eval()
         self.quantizer = quantizer
+        self.dtype = model.dtype
         self.output_dim = model.output_dim
 
     def reconstruct(
@@ -180,8 +185,11 @@ class TailModel:
                 )
             values = self.quantizer.dequantize(feedback)
         else:
-            values = np.asarray(feedback, dtype=np.float64)
-        return self.network.forward(values)
+            values = feedback
+        # Cast before the tail's leading activation, not inside it: an
+        # upcast bottleneck would run that activation in float64 and
+        # break the split's bit-exactness with the unsplit model.
+        return self.network.forward(np.asarray(values, dtype=self.dtype))
 
 
 class SplitExecutor:
@@ -206,8 +214,11 @@ class SplitExecutor:
         return self.tail.reconstruct(self.head.compress(inputs))
 
     def feedback_bits(self) -> int:
-        """Per-report over-the-air payload in bits."""
-        bits = self.quantizer.bits if self.quantizer is not None else 64
-        return self.model.bottleneck_dim * bits + (
-            2 * RANGE_SCALAR_BITS if self.quantizer is not None else 0
-        )
+        """Per-report over-the-air payload in bits.
+
+        Unquantized reports carry raw bottleneck values of the model's
+        dtype (32 bits each for a float32 model).
+        """
+        if self.quantizer is None:
+            return self.model.bottleneck_dim * 8 * self.model.dtype.itemsize
+        return self.model.bottleneck_dim * self.quantizer.bits + 2 * RANGE_SCALAR_BITS

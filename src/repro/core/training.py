@@ -216,12 +216,16 @@ def bf_from_model_inputs(
     :meth:`CsiDataset.model_arrays`; callers that cannot (or should
     not) ship a whole dataset — e.g. campaign round tasks on a worker
     pool — extract the rows once and call this directly.
+
+    The network runs in its own dtype; its output is cast to float64
+    once, here, before it reaches the link simulator.
     """
     if isinstance(model, SplitBeamNet) and quantizer is not None:
         outputs = SplitExecutor(model, quantizer).run(x)
     else:
         model.eval()
         outputs = model.forward(x)
+    outputs = np.asarray(outputs, dtype=np.float64)
     n = x.shape[0] // n_users
     bf = real_to_complex(outputs, (n_subcarriers, n_tx))
     return bf.reshape(n, n_users, n_subcarriers, n_tx)

@@ -10,7 +10,9 @@ per compression level, each carrying the measured BER and cost numbers
 the runtime selector (``repro.core.adaptive``) needs.
 
 Zoos persist to a directory of ``.npz`` weight files plus a JSON
-manifest, so an AP can ship one artifact to heterogeneous STAs.
+manifest, so an AP can ship one artifact to heterogeneous STAs.  Each
+manifest entry records its model's parameter dtype; an entry without
+one (written before models trained in float32) loads as float64.
 """
 
 from __future__ import annotations
@@ -253,6 +255,7 @@ class ModelZoo:
                         "config": asdict(config),
                         "widths": entry.model.widths,
                         "activation": entry.model.activation_name,
+                        "dtype": entry.model.dtype.name,
                         "quantizer_bits": entry.quantizer_bits,
                         "measured_ber": entry.measured_ber,
                         "notes": entry.notes,
@@ -339,7 +342,11 @@ class ModelZoo:
         zoo = cls()
         for item in manifest["entries"]:
             config = NetworkConfiguration(**item["config"])
-            model = SplitBeamNet(item["widths"], activation=item["activation"])
+            model = SplitBeamNet(
+                item["widths"],
+                activation=item["activation"],
+                dtype=item.get("dtype", "float64"),
+            )
             load_state(model, os.path.join(directory, item["weights"]))
             zoo.register(
                 ZooEntry(

@@ -44,7 +44,7 @@ from contextlib import nullcontext as _null
 from dataclasses import asdict, dataclass, field
 
 from repro.config import Fidelity
-from repro.core.model import SplitBeamNet, three_layer_widths
+from repro.core.model import MODEL_DTYPE, SplitBeamNet, three_layer_widths
 from repro.core.training import splitbeam_training_config
 from repro.core.zoo import ModelZoo, NetworkConfiguration, ZooEntry
 from repro.datasets.catalog import dataset_spec
@@ -119,7 +119,7 @@ def checkpoint_spec(spec: dict) -> dict:
     ``name`` are dropped; the derived :class:`TrainingConfig` (epochs,
     optimizer, schedule, seed) is hashed explicitly so a recipe change
     in :func:`~repro.core.training.splitbeam_training_config` can never
-    serve stale weights.
+    serve stale weights; so is the model's parameter dtype.
     """
     fidelity = {
         key: value for key, value in spec["fidelity"].items() if key != "name"
@@ -134,6 +134,7 @@ def checkpoint_spec(spec: dict) -> dict:
             "widths": [int(w) for w in spec["model"]["widths"]],
             "activation": spec["model"]["activation"],
             "qat_bits": spec["model"]["qat_bits"],
+            "dtype": MODEL_DTYPE.name,
         },
         "train": {**asdict(config), "checkpoint_on": train["checkpoint_on"]},
         "quantizer_bits": spec["quantizer_bits"],

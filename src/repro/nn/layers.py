@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.init import initializer
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module, Parameter, as_float
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -42,6 +42,10 @@ class Linear(Module):
         ``"glorot"`` or ``"he"`` (default ``"glorot"``).
     rng:
         Seed or Generator for the weight init.
+    dtype:
+        Parameter dtype, float64 (default) or float32.  The init draws
+        in float64 and rounds, so both dtypes share one random stream.
+        Inputs are cast to it.
     """
 
     def __init__(
@@ -51,6 +55,7 @@ class Linear(Module):
         bias: bool = True,
         init: str = "glorot",
         rng: "int | np.random.Generator | None" = None,
+        dtype: "np.dtype | type" = np.float64,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
@@ -60,10 +65,13 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         init_fn = initializer(init)
-        self.weight = Parameter(
-            init_fn(in_features, out_features, as_generator(rng)), name="weight"
+        weight = init_fn(in_features, out_features, as_generator(rng))
+        self.weight = Parameter(weight.astype(dtype, copy=False), name="weight")
+        self.bias = (
+            Parameter(np.zeros(out_features, dtype=dtype), name="bias")
+            if bias
+            else None
         )
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
         self._cached_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -73,7 +81,7 @@ class Linear(Module):
                 f"Linear expected {self.in_features} features, got {inputs.shape[1]}"
             )
         self._cached_input = inputs
-        out = np.empty((inputs.shape[0], self.out_features))
+        out = np.empty((inputs.shape[0], self.out_features), dtype=inputs.dtype)
         np.matmul(inputs, self.weight.data, out=out)
         if self.bias is not None:
             out += self.bias.data
@@ -82,7 +90,7 @@ class Linear(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cached_input is None:
             raise ShapeError("backward called before forward on Linear")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output, dtype=self.weight.data.dtype)
         if grad_output.ndim == 1:
             grad_output = grad_output[None, :]
         self.weight.grad += self._cached_input.T @ grad_output
@@ -123,7 +131,7 @@ class _Activation(Module):
         return self._dfn(x)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = as_float(inputs)
         self._cached_input = inputs
         self._cached_output = self._fn(inputs)
         return self._cached_output
@@ -143,7 +151,7 @@ class ReLU(_Activation):
         return np.maximum(x, 0.0)
 
     def _dfn(self, x: np.ndarray) -> np.ndarray:
-        return (x > 0).astype(np.float64)
+        return (x > 0).astype(x.dtype)
 
 
 class LeakyReLU(_Activation):
@@ -159,7 +167,7 @@ class LeakyReLU(_Activation):
         return np.where(x > 0, x, self.negative_slope * x)
 
     def _dfn(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, 1.0, self.negative_slope)
+        return np.where(x > 0, 1.0, self.negative_slope).astype(x.dtype, copy=False)
 
 
 class Tanh(_Activation):
@@ -213,12 +221,12 @@ class Dropout(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = as_float(inputs)
         if not self.training or self.p == 0.0:
             self._mask = None
             return inputs
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(inputs.shape) < keep) / keep
+        self._mask = (self.rng.random(inputs.shape) < keep).astype(inputs.dtype) / keep
         return inputs * self._mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

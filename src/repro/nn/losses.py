@@ -1,7 +1,8 @@
 """Loss functions, including the paper's normalized L1 loss (Eq. (8)).
 
 Each loss implements ``forward(prediction, target) -> float`` and
-``backward() -> dL/dprediction`` (same shape as the prediction).
+``backward() -> dL/dprediction`` (same shape and float dtype as the
+prediction; the target is cast to the prediction's dtype).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.nn.module import as_float
 
 __all__ = ["Loss", "MSELoss", "MAELoss", "NormalizedL1Loss"]
 
@@ -21,8 +23,8 @@ class Loss:
         self._target: np.ndarray | None = None
 
     def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        prediction = np.asarray(prediction, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
+        prediction = as_float(prediction)
+        target = np.asarray(target, dtype=prediction.dtype)
         if prediction.shape != target.shape:
             raise ShapeError(
                 f"loss shape mismatch: prediction {prediction.shape} "

@@ -16,14 +16,29 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "as_float"]
+
+#: The float dtypes a model may hold its parameters in.
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def as_float(values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array: float32/float64 kept, others float64."""
+    values = np.asarray(values)
+    if values.dtype in FLOAT_DTYPES:
+        return values
+    return values.astype(np.float64)
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient buffer."""
+    """A trainable tensor with an accumulated gradient buffer.
+
+    Holds float32 or float64 data as given (anything else becomes
+    float64); the gradient buffer shares the data's dtype.
+    """
 
     def __init__(self, data: np.ndarray, name: str = "param") -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_float(data)
         self.grad = np.zeros_like(self.data)
         self.name = name
 
@@ -127,6 +142,17 @@ class Module:
     def num_parameters(self) -> int:
         return sum(param.size for param in self.parameters())
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of this module's parameters (float64 if it has none).
+
+        Inputs are cast to it once, at the model boundary; every layer
+        then computes in it.
+        """
+        for param in self.parameters():
+            return param.data.dtype
+        return np.dtype(np.float64)
+
     # -- train / eval mode ---------------------------------------------------
 
     def train(self) -> "Module":
@@ -141,10 +167,9 @@ class Module:
 
     # -- helpers ---------------------------------------------------------------
 
-    @staticmethod
-    def _as_batch(inputs: np.ndarray) -> np.ndarray:
-        """Coerce input to a 2-D float batch ``(batch, features)``."""
-        inputs = np.asarray(inputs, dtype=np.float64)
+    def _as_batch(self, inputs: np.ndarray) -> np.ndarray:
+        """Coerce input to a 2-D batch ``(batch, features)`` of :attr:`dtype`."""
+        inputs = np.asarray(inputs, dtype=self.dtype)
         if inputs.ndim == 1:
             return inputs[None, :]
         if inputs.ndim != 2:

@@ -1,7 +1,9 @@
 """Model parameter serialization to/from ``.npz`` files.
 
 State dicts map ``"p<i>.<name>"`` keys to arrays in parameter-iteration
-order, which is deterministic for our sequential models.
+order, which is deterministic for our sequential models.  Loading never
+converts dtypes: a float64 state does not silently load into a float32
+model, or the reverse.
 """
 
 from __future__ import annotations
@@ -41,11 +43,16 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray]) -> None:
         key = f"p{i}.{param.name}"
         if key not in state:
             raise ShapeError(f"state is missing parameter {key!r}")
-        value = np.asarray(state[key], dtype=np.float64)
+        value = np.asarray(state[key])
         if value.shape != param.data.shape:
             raise ShapeError(
                 f"parameter {key!r} has shape {value.shape}, "
                 f"expected {param.data.shape}"
+            )
+        if value.dtype != param.data.dtype:
+            raise ShapeError(
+                f"parameter {key!r} has dtype {value.dtype}, "
+                f"expected {param.data.dtype}"
             )
         # In-place copy: a live optimizer aliases param.data into its
         # packed update buffer, and rebinding would silently detach it.

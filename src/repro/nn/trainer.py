@@ -6,6 +6,9 @@ decayed by 10x after epochs 20 and 30, and per-epoch evaluation on the
 validation split with the best parameters retained.  The validation
 metric is pluggable — the paper checkpoints on achieved BER; a
 validation-loss metric is the cheap default.
+
+Training runs in the model's dtype (:attr:`Module.dtype`): inputs and
+targets are cast to it once per fit, never per batch.
 """
 
 from __future__ import annotations
@@ -127,8 +130,9 @@ class Trainer:
     ) -> TrainingHistory:
         """Train and (when a validation split is given) restore the best
         parameters observed on the validation metric."""
-        train_inputs = np.asarray(train_inputs, dtype=np.float64)
-        train_targets = np.asarray(train_targets, dtype=np.float64)
+        dtype = self.model.dtype
+        train_inputs = np.asarray(train_inputs, dtype=dtype)
+        train_targets = np.asarray(train_targets, dtype=dtype)
         if train_inputs.shape[0] != train_targets.shape[0]:
             raise TrainingError(
                 f"input/target sample counts differ: "
@@ -146,8 +150,8 @@ class Trainer:
             )
         has_validation = val_inputs is not None and val_targets is not None
         if has_validation:
-            val_inputs = np.asarray(val_inputs, dtype=np.float64)
-            val_targets = np.asarray(val_targets, dtype=np.float64)
+            val_inputs = np.asarray(val_inputs, dtype=dtype)
+            val_targets = np.asarray(val_targets, dtype=dtype)
             if val_inputs.shape[0] != val_targets.shape[0]:
                 raise TrainingError(
                     f"validation input/target sample counts differ: "
@@ -205,7 +209,7 @@ class Trainer:
         """Run the model in eval mode (no dropout)."""
         was_training = self.model.training
         self.model.eval()
-        out = self.model.forward(np.asarray(inputs, dtype=np.float64))
+        out = self.model.forward(np.asarray(inputs, dtype=self.model.dtype))
         if was_training:
             self.model.train()
         return out
@@ -257,29 +261,17 @@ class Trainer:
             optimizer.step()
         return total / count
 
-    def _clip_gradients(self, optimizer: "Optimizer | None" = None) -> None:
+    def _clip_gradients(self, optimizer: Optimizer) -> None:
         """Scale all gradients so their global L2 norm stays bounded.
 
-        With an optimizer at hand the clip runs fused over its packed
-        gradient buffer (:meth:`~repro.nn.optim.Optimizer.
-        clip_global_norm`, bit-identical to this loop); the loop remains
-        as the optimizer-free fallback.
+        Runs fused over the optimizer's packed gradient buffer
+        (:meth:`~repro.nn.optim.Optimizer.clip_global_norm`), bit-
+        identical to the per-parameter loop frozen in
+        :func:`repro.perf.reference.reference_clip_gradients`.
         """
         limit = self.config.max_grad_norm
-        if limit is None:
-            return
-        if optimizer is not None:
+        if limit is not None:
             optimizer.clip_global_norm(limit)
-            return
-        total = 0.0
-        params = list(self.model.parameters())
-        for param in params:
-            total += float(np.sum(param.grad**2))
-        norm = np.sqrt(total)
-        if norm > limit:
-            scale = limit / norm
-            for param in params:
-                param.grad *= scale
 
     def _build_optimizer(self) -> Optimizer:
         params = list(self.model.parameters())
@@ -306,5 +298,6 @@ class Trainer:
     def _validation_loss(
         self, model: Module, inputs: np.ndarray, targets: np.ndarray
     ) -> float:
-        prediction = model.forward(np.asarray(inputs, dtype=np.float64))
-        return self.loss.forward(prediction, np.asarray(targets, dtype=np.float64))
+        dtype = model.dtype
+        prediction = model.forward(np.asarray(inputs, dtype=dtype))
+        return self.loss.forward(prediction, np.asarray(targets, dtype=dtype))

@@ -89,6 +89,18 @@ class TestSplitBeamNet:
         with pytest.raises(ConfigurationError):
             SplitBeamNet([8, 8], rng=0)
 
+    def test_paper_models_default_to_float32(self, rng):
+        net = SplitBeamNet([10, 4, 10], rng=0)
+        assert net.dtype == np.float32
+        assert {p.data.dtype for p in net.parameters()} == {np.dtype(np.float32)}
+        assert net.forward(rng.normal(size=(3, 10))).dtype == np.float32
+
+    def test_float32_init_rounds_the_float64_draw(self):
+        wide = SplitBeamNet([10, 4, 10], rng=0, dtype=np.float64)
+        narrow = SplitBeamNet([10, 4, 10], rng=0)
+        for p64, p32 in zip(wide.parameters(), narrow.parameters()):
+            assert np.array_equal(p64.data.astype(np.float32), p32.data)
+
 
 class TestQuantizer:
     def test_round_trip_error_bounded(self, rng):
@@ -130,11 +142,18 @@ class TestQuantizer:
 
 
 class TestSplitExecution:
-    def test_unquantized_split_is_exact(self, rng):
-        net = SplitBeamNet([32, 8, 8, 32], rng=0)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unquantized_split_is_exact(self, dtype, seed):
+        # Float64 inputs into a model of either dtype: head and tail
+        # each cast once at entry, so the tail's leading activation runs
+        # in the model dtype exactly as in the unsplit forward pass.
+        net = SplitBeamNet([32, 8, 8, 32], rng=0, dtype=dtype)
         net.eval()
-        x = rng.normal(size=(6, 32))
-        assert np.array_equal(SplitExecutor(net, None).run(x), net.forward(x))
+        x = np.random.default_rng(seed).normal(size=(6, 32))
+        out = SplitExecutor(net, None).run(x)
+        assert out.dtype == dtype
+        assert np.array_equal(out, net.forward(x))
 
     def test_quantized_split_close(self, rng):
         net = SplitBeamNet([32, 8, 32], rng=0)
@@ -161,6 +180,13 @@ class TestSplitExecution:
         net = SplitBeamNet([224, 28, 224], rng=0)
         executor = SplitExecutor(net, BottleneckQuantizer(16))
         assert executor.feedback_bits() == 28 * 16 + 32
+
+    @pytest.mark.parametrize("dtype,bits", [(np.float32, 32), (np.float64, 64)])
+    def test_unquantized_feedback_bits_follow_model_dtype(self, dtype, bits):
+        net = SplitBeamNet([224, 28, 224], rng=0, dtype=dtype)
+        assert SplitExecutor(net, None).feedback_bits() == 28 * bits
+        raw = HeadModel(net, None).compress(np.ones((1, 224)))
+        assert 8 * raw.dtype.itemsize == bits
 
     def test_split_shares_trained_parameters(self, rng):
         net = SplitBeamNet([16, 4, 16], rng=0)

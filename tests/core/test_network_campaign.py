@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
+import repro.core.network as network_module
 from repro.config import SMOKE
 from repro.core.adaptive import AdaptiveCompressionController, QosProfile
 from repro.core.network import (
@@ -97,15 +99,25 @@ def campaign_runs(tmp_path_factory):
     store = CheckpointStore(root / "store")
     cache_serial = ResultCache(root / "cache-serial")
     cache_pool = ResultCache(root / "cache-pool")
+    ladders = {}
 
-    clear_memos()
-    cold_serial = NetworkCampaign(
-        spec, cache=cache_serial, store=store, n_workers=1
-    ).run()
-    clear_memos()
-    cold_pool = NetworkCampaign(
-        spec, cache=cache_pool, store=store, n_workers=4
-    ).run()
+    def run_cold(tag, cache, n_workers):
+        # Record the ladder models each campaign deploys: the first run
+        # trains them, the second reloads them from the store.
+        def recording(*args, **kwargs):
+            build = train_zoo(*args, **kwargs)
+            ladders[tag] = [build.entry(label).model for label in build.labels()]
+            return build
+
+        clear_memos()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network_module, "train_zoo", recording)
+            return NetworkCampaign(
+                spec, cache=cache, store=store, n_workers=n_workers
+            ).run()
+
+    cold_serial = run_cold("cold_serial", cache_serial, 1)
+    cold_pool = run_cold("cold_pool", cache_pool, 4)
     clear_memos()
     reset_profiles()
     warm = NetworkCampaign(
@@ -117,6 +129,7 @@ def campaign_runs(tmp_path_factory):
         "store": store,
         "cold_serial": cold_serial,
         "cold_pool": cold_pool,
+        "ladders": ladders,
         "warm": warm,
         "warm_profiles": warm_profiles,
     }
@@ -159,6 +172,15 @@ class TestDeterminism:
     def test_second_cold_run_loads_zoo_from_store(self, campaign_runs):
         assert campaign_runs["cold_pool"].zoo_trained == 0
         assert campaign_runs["cold_pool"].zoo_cached == 3
+
+    def test_trained_and_reloaded_ladders_are_float32(self, campaign_runs):
+        trained = campaign_runs["ladders"]["cold_serial"]
+        reloaded = campaign_runs["ladders"]["cold_pool"]
+        assert len(trained) == len(reloaded) == 3
+        for fresh, stored in zip(trained, reloaded):
+            assert fresh.dtype == stored.dtype == np.float32
+            for p_fresh, p_stored in zip(fresh.parameters(), stored.parameters()):
+                assert np.array_equal(p_fresh.data, p_stored.data)
 
 
 class TestHeterogeneity:

@@ -139,6 +139,47 @@ class TestModelZoo:
             restored.model.forward(x), original.model.forward(x)
         )
 
+    def test_save_records_dtype_and_reloads_float32(self, tmp_path):
+        import json
+
+        zoo = ModelZoo()
+        zoo.register(make_entry(1 / 8, 0.013, seed=1))
+        zoo.save(str(tmp_path))
+        manifest = json.loads((tmp_path / "zoo_manifest.json").read_text())
+        assert [item["dtype"] for item in manifest["entries"]] == ["float32"]
+        original = zoo.candidates(CONFIG)[0].model
+        restored = ModelZoo.load(str(tmp_path)).candidates(CONFIG)[0].model
+        assert restored.dtype == np.float32
+        for p_orig, p_rest in zip(original.parameters(), restored.parameters()):
+            assert np.array_equal(p_orig.data, p_rest.data)
+
+    def test_manifest_without_dtype_loads_float64(self, tmp_path):
+        # Zoos saved before models trained in float32 carry float64
+        # weights and no dtype field; they reload bit-exactly.
+        import json
+
+        widths = three_layer_widths(CONFIG.input_dim, 1 / 8)
+        zoo = ModelZoo()
+        zoo.register(
+            ZooEntry(
+                config=CONFIG,
+                model=SplitBeamNet(widths, rng=3, dtype=np.float64),
+                quantizer_bits=16,
+                measured_ber=0.01,
+            )
+        )
+        zoo.save(str(tmp_path))
+        path = tmp_path / "zoo_manifest.json"
+        manifest = json.loads(path.read_text())
+        for item in manifest["entries"]:
+            assert item.pop("dtype") == "float64"
+        path.write_text(json.dumps(manifest))
+        original = zoo.candidates(CONFIG)[0].model
+        restored = ModelZoo.load(str(tmp_path)).candidates(CONFIG)[0].model
+        assert restored.dtype == np.float64
+        for p_orig, p_rest in zip(original.parameters(), restored.parameters()):
+            assert np.array_equal(p_orig.data, p_rest.data)
+
     def test_save_removes_unreferenced_npz(self, tmp_path):
         # Saving a shrunk/re-keyed zoo over an old directory must not
         # leave orphaned weight files behind the new manifest.

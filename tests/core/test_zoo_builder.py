@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.config import SMOKE
@@ -128,6 +129,15 @@ class TestGridSpec:
         assert hashable["train"]["optimizer"] == "adam"
         assert "name" not in hashable["fidelity"]
         assert "label" not in hashable and "notes" not in hashable
+        assert hashable["model"]["dtype"] == "float32"
+
+    def test_checkpoint_key_changes_with_model_dtype(self, grid, monkeypatch):
+        # Weights trained at another dtype are never served from a store.
+        import repro.core.zoo_builder as zoo_builder
+
+        key = plan_training_grid(grid, version="v0")[0].key
+        monkeypatch.setattr(zoo_builder, "MODEL_DTYPE", np.dtype(np.float64))
+        assert plan_training_grid(grid, version="v0")[0].key != key
 
 
 class TestZooBuild:
@@ -172,6 +182,10 @@ class TestZooBuild:
         warm = train_zoo(grid, store=store, n_workers=1)
         assert warm.n_trained == 0 and warm.n_cached == 2
         assert all(row["cached"] for row in warm.entries)
+        # Trained and checkpoint-reloaded ladders are both float32.
+        for result in (cold, warm):
+            for label in result.labels():
+                assert result.entry(label).model.dtype == np.float32
         # Zero training epochs (and zero fits) ran: the profiled
         # trainer registry saw nothing.
         profiled_names = {entry.name for entry in profile_summary()}

@@ -166,6 +166,24 @@ class TestTrainer:
         )
         assert seen == [(np.dtype(np.float64), np.dtype(np.float64))]
 
+    def test_arrays_cast_to_float32_model_dtype(self, rng):
+        x, y = linear_task(rng)
+        seen = []
+
+        def metric(m, xv, yv):
+            seen.append((xv.dtype, yv.dtype))
+            return 0.0
+
+        model = Sequential([Linear(6, 6, rng=0, dtype=np.float32)])
+        trainer = Trainer(
+            model,
+            config=TrainingConfig(epochs=1, seed=0),
+            validation_metric=metric,
+        )
+        trainer.fit(x, y, x[:8], y[:8])
+        assert seen == [(np.dtype(np.float32), np.dtype(np.float32))]
+        assert trainer.predict(x).dtype == np.float32
+
     def test_deterministic_given_seed(self, rng):
         x, y = linear_task(rng)
         losses = []
@@ -224,6 +242,29 @@ class TestSerialization:
         snapshot.pop(next(iter(snapshot)))
         with pytest.raises(ShapeError):
             load_state_dict(model, snapshot)
+
+    @pytest.mark.parametrize(
+        "source,target", [(np.float64, np.float32), (np.float32, np.float64)]
+    )
+    def test_dtype_mismatch_raises(self, source, target):
+        # Weights never change dtype silently on load.
+        snapshot = state_dict(Sequential([Linear(4, 4, rng=0, dtype=source)]))
+        other = Sequential([Linear(4, 4, rng=1, dtype=target)])
+        before = state_dict(other)
+        with pytest.raises(ShapeError, match="dtype"):
+            load_state_dict(other, snapshot)
+        for key, value in state_dict(other).items():
+            assert np.array_equal(value, before[key])
+
+    def test_float32_round_trip_on_disk(self, tmp_path):
+        model = Sequential([Linear(4, 4, rng=0, dtype=np.float32)])
+        path = str(tmp_path / "model.npz")
+        save_state(model, path)
+        other = Sequential([Linear(4, 4, rng=99, dtype=np.float32)])
+        load_state(other, path)
+        for key, value in state_dict(other).items():
+            assert value.dtype == np.float32
+            assert np.array_equal(value, state_dict(model)[key])
 
 
 class TestFlops:

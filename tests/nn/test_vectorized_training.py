@@ -5,7 +5,8 @@ The contract this PR's vectorization pass makes (see
 
 - fused SGD/Adam, the fused gradient clip, and the trainer's
   preallocated batch pipeline replay the loop implementations
-  element-for-element — trained weights are **bit-identical**;
+  element-for-element — trained weights are **bit-identical**, at
+  float64 and at float32 (the paper models' dtype);
 - the im2col convolution's *forward* is bit-identical to the frozen
   per-kernel-position loops; its *backward* contracts each gradient in
   one GEMM, which reorders floating-point reductions — gradients match
@@ -34,7 +35,10 @@ from repro.perf.reference import (
 )
 
 
-def _twin_models(seed=3, widths=(20, 8, 20), activation=Tanh):
+DTYPES = [np.float64, np.float32]
+
+
+def _twin_models(seed=3, widths=(20, 8, 20), activation=Tanh, dtype=np.float64):
     """Two structurally identical models with identical weights."""
 
     def build():
@@ -42,7 +46,12 @@ def _twin_models(seed=3, widths=(20, 8, 20), activation=Tanh):
         layers = []
         for i in range(len(widths) - 1):
             layers.append(
-                Linear(widths[i], widths[i + 1], rng=int(rng.integers(2**31)))
+                Linear(
+                    widths[i],
+                    widths[i + 1],
+                    rng=int(rng.integers(2**31)),
+                    dtype=dtype,
+                )
             )
             if i < len(widths) - 2:
                 layers.append(activation())
@@ -88,9 +97,10 @@ class TestFusedOptimizerBitIdentity:
                 opt.step()
             _assert_states_equal(model_a, model_b)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    def test_adam_steps(self, weight_decay):
-        model_a, model_b = _twin_models(widths=(13, 7, 3, 13))
+    def test_adam_steps(self, weight_decay, dtype):
+        model_a, model_b = _twin_models(widths=(13, 7, 3, 13), dtype=dtype)
         opt_a = ReferenceAdam(
             list(model_a.parameters()), lr=1e-2, weight_decay=weight_decay
         )
@@ -108,9 +118,10 @@ class TestFusedOptimizerBitIdentity:
                 opt.step()
             _assert_states_equal(model_a, model_b)
 
-    def test_clip_interaction(self):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_clip_interaction(self, dtype):
         """Fused clip + fused step == loop clip + loop step, bit for bit."""
-        model_a, model_b = _twin_models(widths=(16, 5, 16))
+        model_a, model_b = _twin_models(widths=(16, 5, 16), dtype=dtype)
         opt_a = ReferenceAdam(list(model_a.parameters()), lr=5e-2)
         opt_b = Adam(list(model_b.parameters()), lr=5e-2)
         rng = np.random.default_rng(2)
@@ -158,8 +169,9 @@ class TestFusedOptimizerBitIdentity:
 class TestTrainerBitIdentity:
     """Full fits (shuffle, ragged batches, validation, clip) match."""
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_fit_bit_identical(self, optimizer):
+    def test_fit_bit_identical(self, optimizer, dtype):
         rng = np.random.default_rng(11)
         inputs = rng.standard_normal((37, 20))  # ragged: 37 % 8 != 0
         targets = rng.standard_normal((37, 20)) * 0.1
@@ -172,7 +184,7 @@ class TestTrainerBitIdentity:
             max_grad_norm=0.2,  # low enough to clip on real batches
             seed=5,
         )
-        model_a, model_b = _twin_models(widths=(20, 6, 20))
+        model_a, model_b = _twin_models(widths=(20, 6, 20), dtype=dtype)
         hist_a = ReferenceTrainer(model_a, config=config).fit(
             inputs, targets, val_in, val_out
         )
@@ -183,6 +195,7 @@ class TestTrainerBitIdentity:
         assert hist_a.val_metric == hist_b.val_metric
         assert hist_a.best_epoch == hist_b.best_epoch
         _assert_states_equal(model_a, model_b)
+        assert model_b.dtype == dtype
 
     def test_no_shuffle_uses_views_and_matches(self):
         rng = np.random.default_rng(3)
@@ -320,3 +333,64 @@ class TestPinReferenceNn:
             prediction, target
         )
         assert np.array_equal(live.backward(), frozen.backward())
+
+
+class TestFloat32Training:
+    """A float32 model trains without a single float64 intermediate."""
+
+    @pytest.mark.parametrize("qat_bits", [None, 8])
+    def test_splitbeam_forward_backward_stays_float32(self, qat_bits):
+        from repro.core.model import SplitBeamNet
+        from repro.core.split import QuantizationNoise
+
+        net = SplitBeamNet([24, 6, 6, 24], rng=0)
+        if qat_bits is not None:
+            net.network.layers.insert(1, QuantizationNoise(qat_bits))
+        seen = []
+
+        def spy(layer, name):
+            method = getattr(layer, name)
+
+            def wrapped(values):
+                out = method(values)
+                seen.append((type(layer).__name__, name, "in", values.dtype))
+                seen.append((type(layer).__name__, name, "out", out.dtype))
+                return out
+
+            setattr(layer, name, wrapped)
+
+        for layer in net.network.layers:
+            spy(layer, "forward")
+            spy(layer, "backward")
+        rng = np.random.default_rng(0)
+        # Float64 data, as the dataset builders produce it.
+        inputs = rng.standard_normal((20, 24))
+        targets = rng.standard_normal((20, 24)) * 0.1
+        config = TrainingConfig(epochs=2, batch_size=8, seed=0)
+        trainer = Trainer(net, config=config)
+        trainer.fit(inputs, targets, inputs[:5], targets[:5])
+        assert seen
+        # Inputs count too: the trainer's cast and the loss gradient
+        # feed the first forward and the last backward.
+        assert {entry[-1] for entry in seen} == {np.dtype(np.float32)}, [
+            entry for entry in seen if entry[-1] != np.float32
+        ]
+        assert {p.grad.dtype for p in net.parameters()} == {np.dtype(np.float32)}
+        assert trainer.predict(inputs).dtype == np.float32
+
+    def test_optimizer_buffers_take_parameter_dtype(self):
+        model, _ = _twin_models(dtype=np.float32)
+        opt = Adam(list(model.parameters()))
+        for buffer in (opt._flat_data, opt._flat_grad, opt._m, opt._v):
+            assert buffer.dtype == np.float32
+        assert all(p.data.base is opt._flat_data for p in model.parameters())
+
+    def test_optimizer_rejects_mixed_dtypes(self):
+        from repro.errors import ConfigurationError
+
+        params = [
+            Parameter(np.zeros(3, dtype=np.float32)),
+            Parameter(np.zeros(3)),
+        ]
+        with pytest.raises(ConfigurationError, match="dtype"):
+            SGD(params)
